@@ -1,43 +1,43 @@
-"""Multiprocessing sweep runner: many simulation tasks, tiny pickles.
+"""Task runner: many simulation tasks, serial or pooled, tiny pickles.
 
-Experiment figures sweep dozens of :class:`SimulationConfig` points --
-and, since the scalability grid migrated onto the scenario layer, dozens
-of *workloads* too.  Each point is an independent simulator execution,
-so a sweep is embarrassingly parallel -- but a PowerInfo-scale trace is
-tens of millions of records and pickling it to every worker would dwarf
-the simulation itself.  Instead every task ships a
+Experiment figures sweep dozens of :class:`SimulationConfig` points and
+workloads, and a metro replay is cut into per-neighborhood-group
+shards; each is one :class:`SimulationTask`, an independent simulator
+execution.  :func:`iter_task_results` is the primitive: it yields one
+outcome per task *in task order, as results land* (``imap`` under the
+hood), which is what lets the CLI stream sweep rows live, and callers
+get bit-identical counters and meter buckets for any worker count.
+:func:`run_many` is the list-returning convenience over a single shared
+workload.  One worker (or one task) runs a plain serial loop in this
+process.
+
+A PowerInfo-scale trace is tens of millions of records, so no task
+ever pickles one.  A task ships a
 :class:`~repro.trace.workload.Workload` (a few-field frozen dataclass)
-and each worker *regenerates* the trace from it: generation and the
-scaling transforms are deterministic, so every worker sees the
-byte-identical workload, and the scheme is safe under both ``fork`` and
-``spawn`` start methods.  Worker-side LRUs
-(:func:`~repro.trace.workload.cached_workload_trace`) mean a worker
-builds each distinct trace once no matter how many tasks share it.
+plus, at most, a tiny file handle; the trace reaches it one of three
+ways:
 
-:func:`iter_task_results` is the primitive: it yields one outcome per
-task *in task order, as results land* (``imap`` under the hood), which
-is what lets the CLI stream sweep rows live.  :func:`run_many` is the
-list-returning convenience over a single shared workload.  Both fall
-back to a plain serial loop for one worker (or one task) -- against the
-process-wide memoized trace, so repeated serial sweeps never regenerate
-a workload the scenario runner already built -- and callers get
-bit-identical counters and meter buckets regardless of worker count.
+* **memoized** -- serial unsharded tasks replay the process-wide
+  memoized trace (:func:`~repro.trace.workload.cached_workload_trace`),
+  so repeated serial sweeps never regenerate a workload the scenario
+  runner already built;
+* **shared** -- in a pool, each unsharded workload that several tasks
+  share is published once into a mapped column file
+  (:mod:`repro.trace.share`) and workers attach to it.  A singleton
+  workload is generated in its worker instead (once either way), and
+  so is every workload under ``REPRO_TRACE_SHARE=off`` or after a
+  failed publish -- generation is deterministic, so regenerating is
+  bit-identical to attaching;
+* **sliced** -- every shard task, serial or pooled, reads its own
+  slice file: the parent generates each sharded run's trace once and
+  splits it by shard (:mod:`repro.core.shard`), so no task regenerates
+  or filters the whole metro.
 
-Since the zero-copy hand-off (:mod:`repro.trace.share`), regeneration
-is the *fallback*, not the norm: the parent serializes each workload
-that multiple tasks share into a mapped column file -- lazily, when the
-workload's first task is dispatched, so publishes overlap running
-simulations instead of serializing the sweep's start -- and ships
-workers a tiny :class:`~repro.trace.share.TraceShareHandle` next to
-each such task (a singleton workload is generated once either way, so
-it stays on the worker-side path).  Workers attach to the mapped
-columns (the OS page cache is the shared memory) instead of
-regenerating, which turns per-worker generator cost into a single
-parent-side publish.  The
-regenerate path remains for one-worker runs, for hosts where the share
-file cannot be written, and under ``REPRO_TRACE_SHARE=off`` -- and is
-bit-identical to the attach path by construction (the columns are the
-generated trace).
+Publishes and splits run lazily, when a workload's first task is
+dispatched -- in a pool, on ``imap``'s feeder thread after the workers
+forked, so they overlap running tasks and workers never inherit
+generator memory.  Every file is unlinked when the run ends, fails, or
+is abandoned; slice files already as their tasks return.
 
 Tasks may also request named **baseline metrics** (``no_cache``,
 ``multicast`` -- see :mod:`repro.baselines.registry`): analytic columns
@@ -52,7 +52,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
@@ -60,18 +60,24 @@ from repro.core.runner import run_simulation
 from repro.errors import ConfigurationError
 from repro.trace.records import Trace
 from repro.trace.share import TraceShareHandle, publish_trace, share_enabled, unlink_trace
+from repro.trace.spill import SliceHandle
+from repro.trace.streaming import DEFAULT_CHUNK_HOURS
 from repro.trace.synthetic import PowerInfoModel
 from repro.trace.workload import Workload, cached_workload_trace
+
+if TYPE_CHECKING:
+    from repro.core.shard import ShardSplits
 
 
 @dataclass(frozen=True)
 class ShardSpec:
     """Which slice of a sharded metro replay one task executes.
 
-    A run cut into ``n_shards`` dispatches one task per shard; each
-    worker recomputes the deterministic neighborhood partition
-    (:mod:`repro.topology.sharding`) from the task's workload and
-    config, so the spec itself stays three integers and a flag.
+    A run cut into ``n_shards`` dispatches one task per shard; the
+    parent's split and each task recompute the deterministic
+    neighborhood partition (:mod:`repro.topology.sharding`) from the
+    task's workload and config, so the spec itself stays three integers
+    and a flag.
 
     Attributes
     ----------
@@ -80,9 +86,10 @@ class ShardSpec:
     index:
         This task's shard (``0 <= index < n_shards``).
     streaming:
-        Regenerate the trace lazily in the worker and replay it chunk
-        by chunk (:meth:`~repro.core.system.CableVoDSystem.run_streaming`)
-        instead of attaching/materializing the whole trace.
+        Generate the trace lazily for the split and replay this shard's
+        slice chunk by chunk
+        (:meth:`~repro.core.system.CableVoDSystem.run_streaming`)
+        instead of materializing it.
     chunk_hours:
         Generation chunk span for streaming replay (ignored otherwise).
     """
@@ -90,7 +97,7 @@ class ShardSpec:
     n_shards: int
     index: int
     streaming: bool = False
-    chunk_hours: int = 6
+    chunk_hours: int = DEFAULT_CHUNK_HOURS
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -141,6 +148,8 @@ class SimulationTask:
         of optional admission specs (:mod:`repro.live.specs`), both
         tiny frozen dataclasses so the pickle stays small.  Live tasks
         are monolithic -- they cannot carry a shard.
+    label:
+        The scenario label, for error messages (``""`` if none).
     """
 
     workload: Workload
@@ -149,6 +158,7 @@ class SimulationTask:
     baselines: Tuple[str, ...] = ()
     shard: Optional[ShardSpec] = None
     live: Optional[Tuple] = None
+    label: str = ""
 
     def __post_init__(self) -> None:
         if self.shard is not None and self.baselines:
@@ -162,6 +172,10 @@ class SimulationTask:
                 "ride on a shard task"
             )
 
+
+#: What travels with a task to its worker: an unsharded task's trace
+#: share, or a shard task's slice file.
+Handle = Union[TraceShareHandle, SliceHandle]
 
 #: What one task returns: the simulation result plus the task's baseline
 #: columns (empty dict when the task requested none).
@@ -201,12 +215,17 @@ def _run_live_task(task: SimulationTask, trace: Trace) -> SimulationResult:
     return CableVoDSystem(trace, task.config).run_live(controller)
 
 
-def _execute_task(task: SimulationTask) -> TaskOutcome:
-    """Run one task against the process-wide memoized (regenerated) trace."""
+def _execute_task(task: SimulationTask,
+                  shard_slice: Optional[SliceHandle] = None) -> TaskOutcome:
+    """Serial entry: run one task in this process.
+
+    Unsharded tasks replay the process-wide memoized trace; a shard task
+    replays ``shard_slice``, its slice of the run's split.
+    """
     if task.shard is not None:
         from repro.core.shard import execute_shard_task
 
-        return execute_shard_task(task), {}
+        return execute_shard_task(task, shard_slice), {}
     trace = cached_workload_trace(task.workload)
     if task.live is not None:
         return _run_live_task(task, trace), _task_baselines(task, trace)
@@ -227,19 +246,20 @@ def _attached_trace(handle: "TraceShareHandle") -> Trace:
     return attach_trace(handle)
 
 
-def _execute_shared(payload: Tuple[SimulationTask, Optional["TraceShareHandle"]],
+def _execute_shared(payload: Tuple[SimulationTask, Optional[Handle]],
                     ) -> TaskOutcome:
     """Pool-worker entry: attach the published trace, else regenerate.
 
-    A handle that cannot be attached (deleted tmp file, corrupt bytes)
-    degrades to the deterministic regenerate path instead of failing
-    the sweep -- the two are bit-identical by construction.
+    A shard task's handle is its slice of the run's split.  An unsharded
+    task's share handle that cannot be attached (deleted tmp file,
+    corrupt bytes) degrades to the deterministic regenerate path instead
+    of failing the sweep -- the two are bit-identical by construction.
     """
     task, handle = payload
     if task.shard is not None:
         from repro.core.shard import execute_shard_task
 
-        return execute_shard_task(task, handle=handle), {}
+        return execute_shard_task(task, handle), {}
     trace: Optional[Trace] = None
     if handle is not None:
         from repro.errors import TraceError
@@ -344,44 +364,50 @@ def resolve_workers(workers: Optional[int]) -> int:
 def _iter_task_payloads(
     tasks: Sequence[SimulationTask],
     handles: Dict[Workload, TraceShareHandle],
-) -> Iterator[Tuple[SimulationTask, Optional[TraceShareHandle]]]:
-    """Yield ``(task, handle)`` pairs, publishing shared workloads lazily.
+    splits: Optional[ShardSplits] = None,
+    publish: bool = True,
+) -> Iterator[Tuple[SimulationTask, Optional[Handle]]]:
+    """Yield ``(task, handle)`` pairs, publishing and splitting lazily.
 
-    Only workloads referenced by two or more tasks are published: a
-    singleton workload costs one generation either way (ordered
-    dispatch hands all its tasks to one worker's memo), so publishing
-    it would just serialize that generation into the parent.  Each
-    shared workload is published when its *first* task is dispatched --
-    ``imap``'s feeder thread consumes this generator concurrently with
-    the workers, so later publishes overlap earlier tasks' simulations
-    instead of all K serializations running up front before the pool
-    sees any work (and an abandoned sweep never publishes the tail it
-    never dispatched).  Generation happens through the same memoized
-    path serial runs use (a trace the scenario runner already built is
-    serialized straight from cache) and the object trace is released
-    back to the LRU right after: only the flat file (mapped,
-    page-cache-shared) stays for the sweep's duration.
+    A shard task's handle is its slice file: ``splits`` (required when
+    any task carries a shard) splits each sharded run when its first
+    task is dispatched.
+
+    For unsharded tasks (and only when ``publish`` is set), workloads
+    referenced by two or more tasks are published: a singleton workload
+    costs one generation either way (ordered dispatch hands all its
+    tasks to one worker's memo), so publishing it would just serialize
+    that generation into the parent.  Each shared workload is published
+    when its *first* task is dispatched -- ``imap``'s feeder thread
+    consumes this generator concurrently with the workers, so later
+    publishes (and splits) overlap earlier tasks' simulations instead
+    of all running up front before the pool sees any work (and an
+    abandoned sweep never prepares the tail it never dispatched).
+    Generation happens through the same memoized path serial runs use
+    (a trace the scenario runner already built is serialized straight
+    from cache) and the object trace is released back to the LRU right
+    after: only the flat file (mapped, page-cache-shared) stays for the
+    sweep's duration.
 
     The caller owns ``handles`` (and their unlinking): entries appear
     as publishes happen.  The first failure to write (full tmp,
     unwritable dir) stops further publishing -- already-published
     handles keep serving their tasks; everything else degrades to
-    worker-side regeneration, bit-identically.
+    worker-side regeneration, bit-identically.  A split has no such
+    fallback: its failure raises at its first task.
     """
     references: Dict[Workload, int] = {}
     for task in tasks:
-        # Streaming shard tasks regenerate lazily in the worker and
-        # never touch the materialized trace -- publishing for them
-        # would build (and serialize) the very object streaming exists
-        # to avoid.
-        if task.shard is not None and task.shard.streaming:
-            continue
-        references[task.workload] = references.get(task.workload, 0) + 1
-    give_up = False
+        if task.shard is None:
+            references[task.workload] = references.get(task.workload, 0) + 1
+    give_up = not publish
     for task in tasks:
+        if task.shard is not None:
+            yield task, splits.slice_for(task)
+            continue
         workload = task.workload
         handle = handles.get(workload)
-        if handle is None and not give_up and references.get(workload, 0) > 1:
+        if handle is None and not give_up and references[workload] > 1:
             try:
                 # Late-bound module global so tests (and callers) can
                 # monkeypatch the publish path.
@@ -408,39 +434,54 @@ def iter_task_results(
     to :func:`get_default_workers` (the CLI's ``--workers`` flag), else
     :func:`default_workers`.
 
-    Multi-worker runs publish each distinct workload's trace once
+    Shard tasks read slices of one split per run
+    (:class:`~repro.core.shard.ShardSplits`), serial or pooled; the
+    slice files are unlinked as their tasks return, and all of them
+    when the run ends, fails, or is abandoned.  Multi-worker runs also
+    publish each unsharded workload that several tasks share once
     (:mod:`repro.trace.share`) so workers attach to the mapped columns
     instead of regenerating; ``REPRO_TRACE_SHARE=off`` (or a failed
     publish) falls back to the regenerate path, bit-identically.
     """
+    from repro.core.shard import ShardSplits
+
     tasks = list(tasks)
     if workers is None:
         workers = get_default_workers()
     workers = min(resolve_workers(workers), len(tasks))
-    if workers <= 1:
-        for task in tasks:
-            yield _execute_task(task)
-        return
-
-    import multiprocessing as mp
-
+    splits = ShardSplits(tasks)
     handles: Dict[Workload, TraceShareHandle] = {}
     try:
-        if share_enabled():
-            payloads = _iter_task_payloads(tasks, handles)
-        else:
-            payloads = ((task, None) for task in tasks)
-        context = mp.get_context()
-        # Pool.__exit__ terminates outstanding work, so abandoning the
-        # generator mid-stream cleans the workers up too -- and joins
-        # the imap feeder thread, so no publish races the unlink below.
-        with context.Pool(processes=workers) as pool:
+        if workers <= 1:
+            for task in tasks:
+                outcome = _execute_task(task, splits.slice_for(task))
+                splits.done(task)
+                yield outcome
+            return
+
+        import multiprocessing as mp
+
+        payloads = _iter_task_payloads(tasks, handles, splits,
+                                       publish=share_enabled())
+        pool = mp.get_context().Pool(processes=workers)
+        try:
             # chunksize=1: tasks vary wildly in cost (population
             # transforms multiply event counts; cache sizes change hit
             # ratios), so fine-grained dispatch balances the pool better
             # than range partitioning.
-            yield from pool.imap(_execute_shared, payloads, chunksize=1)
+            outcomes = pool.imap(_execute_shared, payloads, chunksize=1)
+            for task, outcome in zip(tasks, outcomes):
+                splits.done(task)
+                yield outcome
+        finally:
+            # Stop an in-flight split, then terminate outstanding work
+            # (also when the caller abandons this generator).  terminate()
+            # joins the imap feeder thread, so no publish or split races
+            # the unlinks below.
+            splits.cancel()
+            pool.terminate()
     finally:
+        splits.close()
         for handle in handles.values():
             unlink_trace(handle)
 

@@ -1,30 +1,40 @@
-"""Sharded metro replay: per-neighborhood-group tasks, exact reduction.
+"""Sharded metro replay: split the trace once, replay slices, reduce exactly.
 
 A metro-scale deployment is hundreds of neighborhoods whose caches
 never interact (the index server at each headend manages only its own
 coax segment), so one giant replay can be cut into per-group
 :class:`~repro.core.parallel.SimulationTask` shards, dispatched through
-the ordinary sweep pool, and the shard results reduced back into the
+the ordinary task runner, and the shard results reduced back into the
 monolithic numbers -- bit-identically, because every float fold in the
 reduction (:meth:`~repro.core.results.SimulationResult.merged`) happens
 in the same ascending-global-neighborhood-id order the monolithic
 engines use internally.
 
-Each shard worker rebuilds the deterministic user placement from three
-integers, picks its contiguous neighborhood group
-(:mod:`repro.topology.sharding`), and replays only its own users'
-sessions:
+The shard data path has two halves, and every shard task takes it,
+serial or pooled:
 
-* **non-streaming** -- the parent publishes the workload's trace once
-  (:mod:`repro.trace.share`) and the worker filters the mapped columns
-  down to its users before building a single shard-sized
-  :class:`~repro.trace.records.Trace` slice (global user ids, global
-  ``n_users``, so placement and strategies see the unsharded world);
-* **streaming** -- the worker regenerates the trace lazily
-  (:mod:`repro.trace.streaming`), filters each hour-chunk to its users,
-  and feeds :meth:`~repro.core.system.CableVoDSystem.run_streaming`, so
-  peak resident session columns stay O(chunk) per worker and the full
-  trace never exists anywhere.
+* **the split, once per run** -- :func:`split_shard_slices` generates
+  the workload's trace a single time: chunk by chunk from
+  :meth:`~repro.trace.streaming.TraceStream.chunks` for a streaming
+  run, as one chunk of the memoized materialized trace otherwise.  A
+  user -> shard table built from the deterministic placement shuffle
+  (:func:`~repro.topology.placement.shared_plant`) splits every chunk
+  -- with numpy when it is installed, a python loop otherwise -- and
+  each shard's rows are appended to that shard's own slice file
+  (:mod:`repro.trace.spill`).  :class:`ShardSplits` runs the split
+  lazily, when a run's first shard task is dispatched (on the pool's
+  feeder thread, after the workers forked), and unlinks the files once
+  their tasks have returned;
+* **the replay, once per shard** -- :func:`execute_shard_task` reads
+  its slice back: a streaming shard drains it chunk by chunk through
+  :meth:`~repro.core.system.CableVoDSystem.run_streaming`, so resident
+  session columns stay O(chunk); a materialized shard concatenates it
+  into one :class:`~repro.trace.records.Trace` for any engine.  Slices
+  keep global user ids and the global ``n_users``, so placement and
+  strategies see the unsharded world.
+
+Generation, placement and filtering are thus paid once per run instead
+of once per shard.
 
 Two configurations cannot shard and are rejected up front: strategies
 that share a cross-neighborhood popularity feed
@@ -35,18 +45,20 @@ futures from).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+import threading
+from array import array
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.core.runner import resolve_engine
 from repro.core.system import CableVoDSystem
-from repro.errors import ConfigurationError
-from repro.topology.placement import place_users
+from repro.errors import ConfigurationError, ReproError
+from repro.topology.placement import shared_plant
 from repro.topology.sharding import n_neighborhoods_for, partition_neighborhoods
 from repro.trace.families import WorkloadModel
-from repro.trace.records import Trace
-from repro.trace.streaming import TraceChunk, open_trace_stream
+from repro.trace.spill import SliceHandle, SliceReader, SliceWriter, unlink_slice
+from repro.trace.streaming import DEFAULT_CHUNK_HOURS, TraceChunk, open_trace_stream
 from repro.trace.workload import Workload, cached_workload_trace
 
 
@@ -56,7 +68,7 @@ def workload_n_users(workload: Workload) -> int:
     Population scaling multiplies the id space (copy ``k`` of user ``u``
     is ``u + k * n_users``); catalog scaling leaves users alone.  This
     is what lets shard planning -- neighborhood counts, group cuts,
-    membership tables -- run before any records exist.  Families that
+    user -> shard tables -- run before any records exist.  Families that
     only discover their user count at build time (an external log with
     no declared population) cannot be shard-planned.
     """
@@ -76,108 +88,6 @@ def shard_neighborhood_groups(workload: Workload, config: SimulationConfig,
     count = n_neighborhoods_for(workload_n_users(workload),
                                 config.neighborhood_size)
     return partition_neighborhoods(count, n_shards)
-
-
-def _shard_membership(n_users: int, config: SimulationConfig,
-                      ids: Sequence[int]) -> bytearray:
-    """Byte-per-user membership table for one shard's neighborhoods.
-
-    Rebuilt in every worker from the same deterministic placement the
-    simulator itself uses, so the filter and the simulation agree on
-    which users exist.
-    """
-    plant = place_users(n_users, config.neighborhood_size,
-                        config.placement_seed)
-    neighborhoods = plant.neighborhoods
-    member = bytearray(n_users)
-    for nid in ids:
-        for user_id in neighborhoods[nid].user_ids:
-            member[user_id] = 1
-    return member
-
-
-def _filter_columns(
-    member: bytearray,
-    start_times: Sequence[float],
-    user_ids: Sequence[int],
-    program_ids: Sequence[int],
-    durations: Sequence[float],
-) -> Tuple[List[float], List[int], List[int], List[float]]:
-    """Keep only the rows whose user belongs to this shard.
-
-    Row order (and therefore sortedness) is preserved; output columns
-    are plain python lists regardless of input sequence type, so a
-    numpy-filtered slice feeds the simulator the same pure-python
-    scalars the fallback loop produces.
-    """
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is not None:
-        users = np.asarray(user_ids, dtype=np.int64)
-        mask = np.frombuffer(bytes(member), dtype=np.uint8)[users] != 0
-        return (
-            np.asarray(start_times, dtype=np.float64)[mask].tolist(),
-            users[mask].tolist(),
-            np.asarray(program_ids, dtype=np.int64)[mask].tolist(),
-            np.asarray(durations, dtype=np.float64)[mask].tolist(),
-        )
-    starts_out: List[float] = []
-    users_out: List[int] = []
-    programs_out: List[int] = []
-    durations_out: List[float] = []
-    for i, user in enumerate(user_ids):
-        if member[user]:
-            starts_out.append(start_times[i])
-            users_out.append(user)
-            programs_out.append(program_ids[i])
-            durations_out.append(durations[i])
-    return starts_out, users_out, programs_out, durations_out
-
-
-def _shard_trace(workload: Workload, member: bytearray,
-                 handle=None) -> Trace:
-    """This shard's trace slice: global ids, global user count.
-
-    Prefers the parent-published mapped columns (filtered straight off
-    the views, so the worker never materializes foreign users' records);
-    a missing or corrupt share degrades to the deterministic
-    regenerate-and-filter path, bit-identically.
-    """
-    n_users = workload_n_users(workload)
-    if handle is not None:
-        from repro.errors import TraceError
-        from repro.trace.share import attach_columns
-
-        try:
-            with attach_columns(handle) as cols:
-                catalog = cols.catalog
-                columns = _filter_columns(member, cols.start_times,
-                                          cols.user_ids, cols.program_ids,
-                                          cols.durations)
-            return Trace.from_columns(*columns, catalog, n_users)
-        except (OSError, TraceError):
-            pass
-    trace = cached_workload_trace(workload)
-    columns = _filter_columns(member, *trace.columns())
-    return Trace.from_columns(*columns, trace.catalog, n_users)
-
-
-def _filtered_chunks(stream, member: bytearray) -> Iterator[TraceChunk]:
-    """This shard's view of a trace stream, chunk by chunk.
-
-    Chunks that lose every row to the filter are skipped (the stream
-    contract is non-empty chunks); surviving chunks keep their window
-    bounds, so the replay's drain horizon is unchanged.
-    """
-    for chunk in stream.chunks():
-        columns = _filter_columns(member, chunk.start_times, chunk.user_ids,
-                                  chunk.program_ids, chunk.durations)
-        if not columns[0]:
-            continue
-        yield TraceChunk(chunk.index, chunk.start_hour, chunk.end_hour,
-                         *columns)
 
 
 def validate_shard_plan(workload: Workload, config: SimulationConfig,
@@ -216,36 +126,232 @@ def validate_shard_plan(workload: Workload, config: SimulationConfig,
             )
 
 
-def execute_shard_task(task, handle=None) -> SimulationResult:
-    """Run one shard task in this process (the pool-worker entry).
+# ----------------------------------------------------------------------
+# The split (parent side)
+# ----------------------------------------------------------------------
 
-    ``task`` is a :class:`~repro.core.parallel.SimulationTask` whose
-    ``shard`` field is set; ``handle`` is the parent-published trace
-    share for non-streaming shards (``None`` falls back to the memoized
-    regenerate path).  Streaming shards run on the bucket engine
-    regardless of the requested engine -- the engines are bit-identical,
-    so this is the same silent demotion ``columnar`` makes when numpy
-    is missing.
+def _shard_owners(n_users: int, config: SimulationConfig,
+                  groups: List[Tuple[int, ...]]) -> List[int]:
+    """User id -> shard index, from the placement the simulator uses."""
+    plant = shared_plant(n_users, config.neighborhood_size,
+                         config.placement_seed)
+    neighborhoods = plant.neighborhoods
+    owners = [0] * n_users
+    for shard, ids in enumerate(groups):
+        for nid in ids:
+            for user_id in neighborhoods[nid].user_ids:
+                owners[user_id] = shard
+    return owners
+
+
+def _chunk_splitter(owners: List[int], n_shards: int
+                    ) -> Callable[[TraceChunk], List[Optional[tuple]]]:
+    """``split(chunk)`` -> per shard, its four column buffers or ``None``.
+
+    Row order within each shard is the chunk's (trace) order.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        np = None
+    if np is None:
+        def split_python(chunk: TraceChunk) -> List[Optional[tuple]]:
+            parts = [([], [], [], []) for _ in range(n_shards)]
+            for row in zip(chunk.start_times, chunk.user_ids,
+                           chunk.program_ids, chunk.durations):
+                starts, users, programs, durations = parts[owners[row[1]]]
+                starts.append(row[0])
+                users.append(row[1])
+                programs.append(row[2])
+                durations.append(row[3])
+            return [
+                (array("d", part[0]), array("q", part[1]),
+                 array("q", part[2]), array("d", part[3])) if part[0] else None
+                for part in parts
+            ]
+
+        return split_python
+
+    table = np.asarray(owners, dtype=np.intp)
+
+    def split_numpy(chunk: TraceChunk) -> List[Optional[tuple]]:
+        users = np.asarray(chunk.user_ids, dtype=np.int64)
+        shards = table[users]
+        # A stable sort by shard keeps each shard's rows in trace order.
+        order = np.argsort(shards, kind="stable")
+        columns = (
+            np.asarray(chunk.start_times, dtype=np.float64)[order],
+            users[order],
+            np.asarray(chunk.program_ids, dtype=np.int64)[order],
+            np.asarray(chunk.durations, dtype=np.float64)[order],
+        )
+        ends = np.cumsum(np.bincount(shards, minlength=n_shards)).tolist()
+        parts: List[Optional[tuple]] = []
+        start = 0
+        for end in ends:
+            parts.append(tuple(c[start:end] for c in columns)
+                         if end > start else None)
+            start = end
+        return parts
+
+    return split_numpy
+
+
+def _run_name(task) -> str:
+    return f"scenario {task.label!r}" if task.label else "sharded run"
+
+
+def split_shard_slices(task, stop: Optional[threading.Event] = None
+                       ) -> List[SliceHandle]:
+    """Generate ``task``'s trace once and spill every shard's rows.
+
+    Returns one :class:`~repro.trace.spill.SliceHandle` per shard of
+    ``task``'s run, in shard order; the caller owns (and unlinks) the
+    files.  A streaming run splits each chunk of one
+    :meth:`~repro.trace.streaming.TraceStream.chunks` pass; otherwise
+    the memoized materialized trace is split as one chunk.  Chunks a
+    shard has no rows in are left out of its file, and the others keep
+    their window bounds, so its drain horizon is unchanged.
+
+    A file that cannot be created or written raises
+    :class:`~repro.errors.ReproError` naming the run; setting ``stop``
+    abandons the split at the next chunk.  Either way every file this
+    call created is gone before it raises.
     """
     spec = task.shard
-    workload = task.workload
-    config = task.config
+    workload, config = task.workload, task.config
     validate_shard_plan(workload, config, spec.n_shards, spec.streaming)
     groups = shard_neighborhood_groups(workload, config, spec.n_shards)
-    ids = list(groups[spec.index])
     n_users = workload_n_users(workload)
-    member = _shard_membership(n_users, config, ids)
+    split = _chunk_splitter(_shard_owners(n_users, config, groups),
+                            len(groups))
     if spec.streaming:
         stream = open_trace_stream(workload.model,
                                    chunk_hours=spec.chunk_hours)
-        system = CableVoDSystem(
-            None, config, engine="bucket", neighborhood_ids=ids,
-            catalog=stream.catalog, n_users=n_users,
-        )
-        return system.run_streaming(_filtered_chunks(stream, member))
-    trace = _shard_trace(workload, member, handle)
-    engine = resolve_engine(task.engine)
-    return CableVoDSystem(trace, config, engine=engine,
+        catalog, chunks = stream.catalog, stream.chunks()
+    else:
+        trace = cached_workload_trace(workload)
+        # One chunk; a materialized shard never reads its window bounds.
+        catalog, chunks = trace.catalog, [TraceChunk(0, 0, 0,
+                                                     *trace.columns())]
+    writers: List[SliceWriter] = []
+    try:
+        for _ in groups:
+            writers.append(SliceWriter(catalog, n_users))
+        for chunk in chunks:
+            if stop is not None and stop.is_set():
+                raise ReproError(f"{_run_name(task)}: shard split abandoned")
+            for writer, columns in zip(writers, split(chunk)):
+                if columns is not None:
+                    writer.write_chunk(chunk.index, chunk.start_hour,
+                                       chunk.end_hour, *columns)
+        return [writer.close() for writer in writers]
+    except BaseException as error:
+        for writer in writers:
+            writer.discard()
+        if isinstance(error, OSError):
+            raise ReproError(
+                f"{_run_name(task)}: cannot write shard slice files: {error}"
+            ) from error
+        raise
+
+
+def _split_key(task) -> tuple:
+    """Everything a split depends on: tasks with equal keys share one."""
+    spec = task.shard
+    return (task.workload, task.config.neighborhood_size,
+            task.config.placement_seed, spec.n_shards, spec.streaming,
+            spec.chunk_hours if spec.streaming else None)
+
+
+class ShardSplits:
+    """The slice files of one task list's sharded runs.
+
+    :meth:`slice_for` splits a run the first time one of its tasks asks
+    (tasks with the same split key -- the shards of one run, or runs
+    that differ only in strategy -- share the split), :meth:`done`
+    unlinks a split's files once all its tasks have returned, and
+    :meth:`close` unlinks whatever is left.  :meth:`cancel` stops an
+    in-flight split at its next chunk.
+
+    ``slice_for`` may run on another thread than ``done``: a split is
+    stored before any of its tasks is dispatched, so the two never
+    touch the same key at once.
+    """
+
+    def __init__(self, tasks) -> None:
+        self._pending: Dict[tuple, int] = {}
+        for task in tasks:
+            if task.shard is not None:
+                key = _split_key(task)
+                self._pending[key] = self._pending.get(key, 0) + 1
+        self._slices: Dict[tuple, List[SliceHandle]] = {}
+        self._stop = threading.Event()
+
+    def slice_for(self, task) -> Optional[SliceHandle]:
+        """``task``'s slice (``None`` for an unsharded task)."""
+        if task.shard is None:
+            return None
+        key = _split_key(task)
+        slices = self._slices.get(key)
+        if slices is None:
+            slices = self._slices[key] = split_shard_slices(task, self._stop)
+        return slices[task.shard.index]
+
+    def done(self, task) -> None:
+        """Record that ``task`` returned; unlink its split if it was last."""
+        if task.shard is None:
+            return
+        key = _split_key(task)
+        self._pending[key] -= 1
+        if not self._pending[key]:
+            for handle in self._slices.pop(key, ()):
+                unlink_slice(handle.path)
+
+    def cancel(self) -> None:
+        self._stop.set()
+
+    def close(self) -> None:
+        """Unlink every remaining slice file (idempotent)."""
+        while self._slices:
+            _, slices = self._slices.popitem()
+            for handle in slices:
+                unlink_slice(handle.path)
+
+
+# ----------------------------------------------------------------------
+# The replay (task side)
+# ----------------------------------------------------------------------
+
+def _filtered_chunks(reader: SliceReader) -> Iterator[TraceChunk]:
+    """This shard's rows, chunk by chunk, as the parent's split left them."""
+    yield from reader.chunks()
+
+
+def execute_shard_task(task, shard_slice: SliceHandle) -> SimulationResult:
+    """Run one shard task in this process from its slice file.
+
+    ``task`` is a :class:`~repro.core.parallel.SimulationTask` whose
+    ``shard`` field is set; ``shard_slice`` is the slice
+    :func:`split_shard_slices` wrote for it.  Streaming shards run on
+    the bucket engine regardless of the requested engine -- the engines
+    are bit-identical, so this is the same silent demotion ``columnar``
+    makes when numpy is missing.
+    """
+    spec = task.shard
+    config = task.config
+    validate_shard_plan(task.workload, config, spec.n_shards, spec.streaming)
+    groups = shard_neighborhood_groups(task.workload, config, spec.n_shards)
+    ids = list(groups[spec.index])
+    with SliceReader(shard_slice) as reader:
+        if spec.streaming:
+            system = CableVoDSystem(
+                None, config, engine="bucket", neighborhood_ids=ids,
+                catalog=reader.catalog, n_users=reader.n_users,
+            )
+            return system.run_streaming(_filtered_chunks(reader))
+        trace = reader.materialize()
+    return CableVoDSystem(trace, config, engine=resolve_engine(task.engine),
                           neighborhood_ids=ids).run()
 
 
@@ -257,7 +363,7 @@ def run_sharded(
     engine: Optional[str] = None,
     workers: Optional[int] = None,
     streaming: bool = False,
-    chunk_hours: Optional[int] = None,
+    chunk_hours: int = DEFAULT_CHUNK_HOURS,
 ) -> SimulationResult:
     """Replay one workload as ``n_shards`` independent shard tasks.
 
@@ -270,23 +376,19 @@ def run_sharded(
     bit-identical to a monolithic ``run_simulation`` of the same
     workload and config, for any shard count and any worker count.
 
-    ``streaming=True`` additionally bounds each worker's resident session
-    columns to one generation chunk (``chunk_hours``, default
-    :data:`~repro.trace.streaming.DEFAULT_CHUNK_HOURS`): the trace is
-    never materialized anywhere, which is what makes million-user
-    metros fit in memory.
+    ``streaming=True`` additionally bounds resident session columns to
+    one generation chunk (``chunk_hours`` simulated hours) in the split
+    and in every shard: the trace is never materialized anywhere, which
+    is what makes million-user metros fit in memory.
     """
     from repro.core.parallel import ShardSpec, SimulationTask, iter_task_results
-    from repro.trace.streaming import DEFAULT_CHUNK_HOURS
 
     if isinstance(trace_model, Workload):
         workload = trace_model
     else:
         workload = Workload(model=trace_model)
-    if chunk_hours is None:
-        chunk_hours = DEFAULT_CHUNK_HOURS
     validate_shard_plan(workload, config, n_shards, streaming)
-    # Fail fast on an over-cut plant (clearer here than in a worker).
+    # Fail fast on an over-cut plant (clearer here than in the split).
     shard_neighborhood_groups(workload, config, n_shards)
     tasks = [
         SimulationTask(

@@ -32,7 +32,7 @@ from repro.core.meter import HourlyMeter
 from repro.core.results import SimulationCounters, SimulationResult
 from repro.peers.settop import SetTopBox
 from repro.sim.engine import Simulator
-from repro.topology.placement import place_users
+from repro.topology.placement import shared_plant
 from repro.trace.records import SessionRecord, Trace
 
 
@@ -93,9 +93,10 @@ class CableVoDSystem:
         self._config = config
         self._engine = engine
         #: The full metro plant.  Placement is keyed only by
-        #: (n_users, neighborhood_size, seed), so every shard worker
-        #: rebuilds the identical layout and picks its group from it.
-        self._plant = place_users(
+        #: (n_users, neighborhood_size, seed), so every shard task sees
+        #: the identical layout (one memoized build per process) and
+        #: picks its group from it.
+        self._plant = shared_plant(
             n_users, config.neighborhood_size, config.placement_seed
         )
         neighborhoods = self._plant.neighborhoods

@@ -19,7 +19,8 @@ transformed) :class:`~repro.trace.workload.Workload`, so points that
 vary the workload -- the Fig 15 population x catalog grid -- fan out
 across workers exactly like points that only vary the config.  Serial
 execution replays the process-wide memoized traces; parallel workers
-regenerate them from the seeded workload.  Both paths are
+attach to a published trace or regenerate it from the seeded workload,
+and shard tasks read their slice of one split per run.  All paths are
 bit-identical, rows always come back in expansion order, and
 :func:`iter_sweep_rows` yields each row as its result lands -- the
 CLI's live-progress stream.
@@ -69,6 +70,7 @@ def scenario_task(scenario: Scenario) -> SimulationTask:
         baselines=scenario.baselines,
         live=((scenario.throttle, scenario.fairness)
               if scenario.live else None),
+        label=scenario.label,
     )
 
 
@@ -90,6 +92,7 @@ def scenario_tasks(scenario: Scenario) -> List[SimulationTask]:
             engine=scenario.engine,
             shard=ShardSpec(n_shards=scenario.shards, index=index,
                             streaming=scenario.streaming),
+            label=scenario.label,
         )
         for index in range(scenario.shards)
     ]
@@ -98,16 +101,13 @@ def scenario_tasks(scenario: Scenario) -> List[SimulationTask]:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Run one scenario against its (memoized, transformed) trace.
 
-    Sharded or streaming scenarios go through
-    :func:`repro.core.shard.run_sharded` (worker count resolved from
-    the process default); the result is bit-identical either way.
+    Sharded or streaming scenarios run their shard task group (worker
+    count resolved from the process default) and reduce it; the result
+    is bit-identical either way.
     """
     if scenario.shards > 1 or scenario.streaming:
-        from repro.core.shard import run_sharded
-
-        return run_sharded(scenario.workload(), scenario.config,
-                           n_shards=scenario.shards, engine=scenario.engine,
-                           streaming=scenario.streaming)
+        group = scenario_tasks(scenario)
+        return _reduce_group(len(group), iter_task_results(group))
     trace = cached_workload_trace(scenario.workload())
     if scenario.live:
         from repro.core.system import CableVoDSystem
@@ -174,7 +174,8 @@ def run_scenarios(
         scenario_tasks(s) if (s.shards > 1 or s.streaming) else
         [SimulationTask(workload=s.workload(), config=s.config,
                         engine=s.engine,
-                        live=(s.throttle, s.fairness) if s.live else None)]
+                        live=(s.throttle, s.fairness) if s.live else None,
+                        label=s.label)]
         for s in scenarios
     ]
     outcomes = iter_task_results([t for group in groups for t in group],

@@ -16,6 +16,7 @@ identical mapping.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 from repro.errors import TopologyError
@@ -75,3 +76,19 @@ def place_users(
             )
         )
     return CablePlant(neighborhoods)
+
+
+@lru_cache(maxsize=2)
+def shared_plant(
+    n_users: int,
+    neighborhood_size: int,
+    placement_seed: int = PLACEMENT_SEED,
+) -> CablePlant:
+    """:func:`place_users`, built once per process per key.
+
+    The plant is keyed by three ints and never mutated, so every
+    system built in one process -- each shard task a pool worker runs,
+    and the parent's shard split -- shares one instance instead of
+    reshuffling the metro.
+    """
+    return place_users(n_users, neighborhood_size, placement_seed)

@@ -42,7 +42,7 @@ import struct
 import tempfile
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import BinaryIO, Optional, Sequence
 
 from repro.errors import TraceError
 from repro.trace.records import Catalog, Program, Trace
@@ -83,6 +83,21 @@ class TraceShareHandle:
     n_users: int
 
 
+def write_catalog(out: BinaryIO, catalog: Catalog) -> None:
+    """Write the catalog section: lengths, then introduction times."""
+    array("d", (p.length_seconds for p in catalog)).tofile(out)
+    array("d", (p.introduced_at for p in catalog)).tofile(out)
+
+
+def catalog_from_columns(lengths: Sequence[float],
+                         introduced: Sequence[float]) -> Catalog:
+    """Rebuild a catalog from its two columns (dense ids)."""
+    return Catalog([
+        Program(program_id=i, length_seconds=length, introduced_at=at)
+        for i, (length, at) in enumerate(zip(lengths, introduced))
+    ])
+
+
 def publish_trace(trace: Trace, directory: Optional[str] = None) -> TraceShareHandle:
     """Serialize ``trace`` into a mappable column file; return its handle.
 
@@ -106,8 +121,7 @@ def publish_trace(trace: Trace, directory: Optional[str] = None) -> TraceShareHa
             array("d", (r.duration_seconds for r in records)).tofile(out)
             array("q", (r.user_id for r in records)).tofile(out)
             array("q", (r.program_id for r in records)).tofile(out)
-            array("d", (p.length_seconds for p in catalog)).tofile(out)
-            array("d", (p.introduced_at for p in catalog)).tofile(out)
+            write_catalog(out, catalog)
     except BaseException:
         os.unlink(path)
         raise
@@ -118,12 +132,9 @@ def publish_trace(trace: Trace, directory: Optional[str] = None) -> TraceShareHa
 class SharedColumns:
     """Typed views over a mapped trace share, without record objects.
 
-    The shard runner's attach path: a worker that simulates one
-    neighborhood group wants to *filter* the published columns down to
-    its own users before paying for ``SessionRecord`` construction, so
-    it needs the raw columns rather than the finished ``Trace``.  Use
-    as a context manager; every view (and the mapping behind it) dies
-    at ``__exit__``, so copy whatever survives the block.
+    :func:`attach_trace` builds its ``Trace`` straight off these views.
+    Use as a context manager; every view (and the mapping behind it)
+    dies at ``__exit__``, so copy whatever survives the block.
     """
 
     def __init__(self, handle: TraceShareHandle) -> None:
@@ -163,11 +174,7 @@ class SharedColumns:
             self.durations = durations
             self.user_ids = users
             self.program_ids = programs
-            self.catalog = Catalog([
-                Program(program_id=i, length_seconds=lengths[i],
-                        introduced_at=introduced[i])
-                for i in range(m)
-            ])
+            self.catalog = catalog_from_columns(lengths, introduced)
             self.n_users = handle.n_users
         except BaseException:
             self.close()

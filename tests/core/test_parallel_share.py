@@ -272,3 +272,146 @@ class TestBackendEnvRestore:
         synthetic.set_trace_backend(None)
         assert os.environ["REPRO_TRACE_BACKEND"] == "python"
         assert synthetic.resolve_trace_backend() == "python"
+
+
+#: A sharded streamed run small enough for failure drills: 6 shards of
+#: 60-user neighborhoods, split once per run into slice files.
+SHARDED = Workload(model=PowerInfoModel(n_users=360, n_programs=40, days=2.0,
+                                        seed=17))
+
+
+def _shard_tasks(label="drill", n_shards=6):
+    from repro.core.parallel import ShardSpec
+
+    config = SimulationConfig(neighborhood_size=60, warmup_days=0.5)
+    return [
+        SimulationTask(workload=SHARDED, config=config, label=label,
+                       shard=ShardSpec(n_shards=n_shards, index=index,
+                                       streaming=True))
+        for index in range(n_shards)
+    ]
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in directory.iterdir()
+                  if p.name.startswith("repro-"))
+
+
+@pytest.fixture
+def spill_dir(tmp_path, monkeypatch):
+    """Route every temp file of the run into an empty directory."""
+    import tempfile
+
+    directory = tmp_path / "tmp"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+class TestSliceCleanup:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_success_leaves_no_files(self, spill_dir, workers):
+        outcomes = list(iter_task_results(_shard_tasks(), workers=workers))
+        assert len(outcomes) == 6
+        assert _leftovers(spill_dir) == []
+
+    def test_slices_unlinked_as_their_tasks_return(self, spill_dir):
+        # Two runs back to back: the first run's slices are gone before
+        # the second run's last task has even been executed.
+        tasks = _shard_tasks("a", 2) + _shard_tasks("b", 3)
+        outcomes = iter_task_results(tasks, workers=1)
+        for _ in range(3):
+            next(outcomes)
+        remaining = _leftovers(spill_dir)
+        assert len(remaining) == 3
+        assert all(name.startswith("repro-slice-") for name in remaining)
+        outcomes.close()
+        assert _leftovers(spill_dir) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_abandoned_generator_cleans_up(self, spill_dir, workers):
+        outcomes = iter_task_results(_shard_tasks(), workers=workers)
+        next(outcomes)
+        outcomes.close()
+        assert _leftovers(spill_dir) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_poisoned_worker_cleans_up(self, spill_dir, monkeypatch, workers):
+        from repro.core.system import CableVoDSystem
+
+        def poisoned(self, chunks):
+            raise RuntimeError("poisoned shard worker")
+
+        monkeypatch.setattr(CableVoDSystem, "run_streaming", poisoned)
+        with pytest.raises(RuntimeError, match="poisoned"):
+            list(iter_task_results(_shard_tasks(), workers=workers))
+        assert _leftovers(spill_dir) == []
+
+
+class TestSpillFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unwritable_tmpdir_names_the_scenario(self, tmp_path, monkeypatch,
+                                                  workers):
+        import tempfile
+
+        from repro.errors import ReproError
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(ReproError, match="scenario 'metro-east'"):
+            list(iter_task_results(_shard_tasks("metro-east"),
+                                   workers=workers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_write_cleans_up(self, spill_dir, monkeypatch, workers):
+        from repro.errors import ReproError
+        from repro.trace.spill import SliceWriter
+
+        real_write = SliceWriter.write_chunk
+        writes = []
+
+        def disk_fills_up(self, *args):
+            if writes:
+                raise OSError(28, "No space left on device")
+            writes.append(args)
+            real_write(self, *args)
+
+        monkeypatch.setattr(SliceWriter, "write_chunk", disk_fills_up)
+        with pytest.raises(ReproError, match="scenario 'drill'.*No space"):
+            list(iter_task_results(_shard_tasks(), workers=workers))
+        assert _leftovers(spill_dir) == []
+
+    def test_stopped_split_leaves_no_files(self, spill_dir):
+        import threading
+
+        from repro.core.shard import split_shard_slices
+        from repro.errors import ReproError
+
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(ReproError, match="scenario 'drill'.*abandoned"):
+            split_shard_slices(_shard_tasks()[0], stop)
+        assert _leftovers(spill_dir) == []
+
+    def test_cli_exits_2_without_partial_csv(self, tmp_path, monkeypatch,
+                                             capsys):
+        import tempfile
+
+        from repro.cli import main
+        from repro.core import parallel
+        from repro.scenario import Scenario
+
+        scenario = Scenario(
+            trace=SHARDED.model, label="metro-east", shards=3, streaming=True,
+            config=SimulationConfig(neighborhood_size=60, warmup_days=0.5),
+        )
+        path = tmp_path / "metro.json"
+        path.write_text(scenario.to_json())
+        out = tmp_path / "rows.csv"
+        missing = tmp_path / "missing"
+        monkeypatch.setattr(parallel, "_default_workers", None)
+        monkeypatch.setattr(tempfile, "tempdir", str(missing))
+        code = main(["run", str(path), "--workers", "2", "--out", str(out)])
+        assert code == 2
+        assert "metro-east" in capsys.readouterr().err
+        assert not out.exists()
+        assert not missing.exists()

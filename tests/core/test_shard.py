@@ -6,10 +6,17 @@ merged result must reproduce the monolithic engines byte for byte --
 counters, ``events_processed``, every meter bucket, and the per-
 neighborhood meter dictionaries.  These tests pin that invariance and
 the planner's deliberate rejections (global popularity feeds, streamed
-future knowledge, streamed transforms, sharded baselines).
+future knowledge, streamed transforms, sharded baselines).  The
+count-the-generations tests pin the data path: one trace pass per
+sharded run and at most one placement build per process, for any
+worker count.
 """
 
 from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import sys
 
 import pytest
 
@@ -24,8 +31,30 @@ from repro.core.shard import (
 )
 from repro.core.system import columnar_supported
 from repro.errors import ConfigurationError, TopologyError
+from repro.topology import placement
 from repro.topology.sharding import n_neighborhoods_for, partition_neighborhoods
+from repro.trace import streaming
+from repro.trace.streaming import DEFAULT_CHUNK_HOURS
+from repro.trace.synthetic import PowerInfoModel
 from repro.trace.workload import Workload, cached_workload_trace
+
+from tests.conftest import preserved_trace_backend
+
+#: Ten neighborhoods at size 60, so every shard count up to 8 cuts.
+METRO = PowerInfoModel(n_users=600, n_programs=50, days=2.0, seed=5)
+
+needs_fork = pytest.mark.skipif(
+    mp.get_start_method(allow_none=False) != "fork",
+    reason="counting propagates to workers via fork only",
+)
+
+
+def _numpy_installed():
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 def _config(strategy=None):
@@ -98,6 +127,9 @@ class TestShardSpecValidation:
             ShardSpec(n_shards=2, index=2)
         with pytest.raises(ConfigurationError):
             ShardSpec(n_shards=2, index=-1)
+
+    def test_default_chunk_span_is_the_stream_default(self):
+        assert ShardSpec(n_shards=1, index=0).chunk_hours == DEFAULT_CHUNK_HOURS
 
     def test_rejects_bad_chunk_hours(self):
         with pytest.raises(ConfigurationError):
@@ -224,3 +256,127 @@ class TestPlannerRejections:
         sharded = run_sharded(workload, config, n_shards=3, engine="bucket",
                               workers=1)
         assert_identical(sharded, mono)
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Pin the trace generator backend for one test."""
+    if request.param == "numpy" and not _numpy_installed():
+        pytest.skip("numpy backend needs numpy")
+    with preserved_trace_backend():
+        monkeypatch.setenv("REPRO_TRACE_BACKEND", request.param)
+        yield request.param
+
+
+class TestSliceBitIdentity:
+    """Every shard count, both data modes, both generator backends."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"], indirect=True)
+    @pytest.mark.parametrize("streaming", [False, True],
+                             ids=["materialized", "streamed"])
+    def test_matches_monolithic(self, backend, streaming):
+        config = _config()
+        trace = cached_workload_trace(Workload(model=METRO))
+        mono = run_simulation(trace, config, engine="bucket")
+        for n_shards in (1, 2, 3, 8):
+            sharded = run_sharded(METRO, config, n_shards=n_shards,
+                                  engine="bucket", streaming=streaming,
+                                  workers=1)
+            assert_identical(sharded, mono)
+
+    def test_python_splitter_matches_monolithic(self, monkeypatch):
+        # The pure-python leg splits without numpy; hide numpy to take
+        # that branch on any host.
+        config = _config()
+        with preserved_trace_backend():
+            monkeypatch.setenv("REPRO_TRACE_BACKEND", "python")
+            mono = run_simulation(
+                cached_workload_trace(Workload(model=METRO)), config,
+                engine="bucket")
+            monkeypatch.setitem(sys.modules, "numpy", None)
+            for streaming_mode in (False, True):
+                sharded = run_sharded(METRO, config, n_shards=3,
+                                      engine="bucket",
+                                      streaming=streaming_mode, workers=1)
+                assert_identical(sharded, mono)
+
+
+@needs_fork
+class TestCountTheGenerations:
+    """One trace pass per sharded run; one plant per process."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_stream_pass_and_one_plant_per_process(self, workers,
+                                                       monkeypatch, tmp_path):
+        passes = mp.Value("i", 0)
+        builds = tmp_path / "builds"
+        real_chunks = streaming.TraceStream.chunks
+        real_place = placement.place_users
+
+        def counting_chunks(self):
+            with passes.get_lock():
+                passes.value += 1
+            return real_chunks(self)
+
+        def counting_place(*args):
+            with open(builds, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_place(*args)
+
+        monkeypatch.setattr(streaming.TraceStream, "chunks", counting_chunks)
+        monkeypatch.setattr(placement, "place_users", counting_place)
+        placement.shared_plant.cache_clear()
+        config = _config()
+        first = run_sharded(METRO, config, n_shards=8, streaming=True,
+                            workers=workers)
+        assert passes.value == 1
+        pids = builds.read_text().split()
+        assert len(pids) == len(set(pids)) <= workers + 1
+        # A second sharded run pays its own single pass.
+        second = run_sharded(METRO, config, n_shards=3, streaming=True,
+                             workers=workers)
+        assert passes.value == 2
+        assert_identical(first, second)
+
+    def test_runs_differing_only_in_strategy_share_one_split(self,
+                                                            monkeypatch):
+        from repro.scenario import Scenario
+        from repro.scenario.runner import run_scenarios
+
+        passes = mp.Value("i", 0)
+        real_chunks = streaming.TraceStream.chunks
+
+        def counting_chunks(self):
+            with passes.get_lock():
+                passes.value += 1
+            return real_chunks(self)
+
+        monkeypatch.setattr(streaming.TraceStream, "chunks", counting_chunks)
+        scenarios = [
+            Scenario(trace=METRO, shards=4, streaming=True,
+                     config=_config(strategy))
+            for strategy in (LFUSpec(), LRUSpec())
+        ]
+        results = run_scenarios(scenarios, workers=2)
+        assert passes.value == 1
+        for scenario, result in zip(scenarios, results):
+            mono = run_simulation(cached_workload_trace(Workload(model=METRO)),
+                                  scenario.config, engine="bucket")
+            assert_identical(result, mono)
+
+    def test_materialized_split_generates_once(self, monkeypatch):
+        from repro.trace import synthetic, workload as workload_mod
+
+        synthetic._cached_trace.cache_clear()
+        workload_mod._cached_transformed_trace.cache_clear()
+        generations = mp.Value("i", 0)
+        real_generate = synthetic.generate_trace
+
+        def counting(model, backend=None):
+            with generations.get_lock():
+                generations.value += 1
+            return real_generate(model, backend=backend)
+
+        monkeypatch.setattr(synthetic, "generate_trace", counting)
+        run_sharded(METRO, _config(), n_shards=8, workers=2)
+        assert generations.value == 1
