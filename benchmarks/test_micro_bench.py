@@ -8,12 +8,18 @@ runs.
 
 from __future__ import annotations
 
+from collections import deque
+
+from repro import units
 from repro.cache.base import StrategyContext
 from repro.cache.lfu import LFUStrategy
+from repro.cache.segments import PlacementMap
 from repro.core.config import SimulationConfig
 from repro.core.meter import HourlyMeter
 from repro.core.runner import run_simulation
+from repro.peers.settop import SetTopBox
 from repro.sim.engine import Simulator
+from repro.trace.records import Program
 from repro.trace.synthetic import PowerInfoModel, generate_trace
 
 
@@ -130,6 +136,30 @@ def test_policy_engine_lfu_access_throughput(benchmark):
 
     members = benchmark(run)
     assert members == 50
+
+
+def test_placement_churn_throughput(benchmark):
+    """Evict-then-admit 5k 14-segment programs on 80 peers x 2 GB.
+
+    The churn-sweep shape of the ``cache.placement`` layer: six slots
+    per peer hold 34 programs, so every further admission first evicts
+    the oldest resident one.
+    """
+    length = 14 * units.SEGMENT_SECONDS
+
+    def run():
+        placement = PlacementMap([SetTopBox(i, storage_bytes=2e9)
+                                  for i in range(80)])
+        resident = deque()
+        for program_id in range(5_000):
+            if len(resident) == 34:
+                placement.remove_programs((resident.popleft(),))
+            placement.place_program(Program(program_id, length))
+            resident.append(program_id)
+        return placement.placed_programs
+
+    placed = benchmark(run)
+    assert placed == 34
 
 
 def test_meter_throughput(benchmark):

@@ -27,7 +27,15 @@ policy engine:
   sliding-window count source the engine's frequency policies build on.
 * :mod:`repro.cache.segments` -- 5-minute segmentation and least-loaded
   placement across peers, with decision-batched release
-  (:meth:`~repro.cache.segments.PlacementMap.remove_programs`).
+  (:meth:`~repro.cache.segments.PlacementMap.remove_programs`).  The
+  map files each peer in one FIFO per count of free segment slots (its
+  level) and gives each segment to the front of the highest non-empty
+  level; a peer that takes or frees a segment joins the back of its
+  new level, so ties go to the peer that reached the level first.
+  Entries left behind by a level change are skipped (moved to the
+  peer's current level) when they reach a front, and count again if
+  the peer returns.  A placement that does not fit fails before it
+  touches any peer.
 * :mod:`repro.cache.index_server` -- the per-headend orchestrator that
   routes requests, fills segments from broadcasts, and applies
   membership changes to physical placement one batched decision at a

@@ -215,7 +215,7 @@ class IndexServer:
 
         Evictions are released through one
         :meth:`~repro.cache.segments.PlacementMap.remove_programs` call
-        per decision (the placement map hoists its heap bookkeeping
+        per decision (the placement map hoists its level bookkeeping
         across the whole batch) and stats are bumped once per batch --
         a multi-victim LFU admission or an oracle recompute used to pay
         the full per-program call chain for every delta.

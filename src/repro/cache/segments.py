@@ -9,9 +9,10 @@ index server places data to balance load, and keeps track of where each
 program is located."
 
 Placement policy: each segment is assigned to the peer with the most
-free contributed space, which both balances storage *and* spreads a
-program's segments across many peers so concurrent viewers at different
-offsets rarely collide on the two-stream limit.
+free whole-segment slots (ties go to the peer that reached that count
+first), which both balances storage *and* spreads a program's segments
+across many peers so concurrent viewers at different offsets rarely
+collide on the two-stream limit.
 
 Capacity is accounted in whole segments: a peer contributing 10 GB holds
 ``floor(10 GB / segment_bytes)`` segments.  Deriving the neighborhood's
@@ -22,9 +23,8 @@ fragmentation surprises mid-simulation.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter, deque
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.errors import PlacementError
@@ -78,23 +78,49 @@ class PlacementMap:
 
     The index server calls :meth:`place_program` when a strategy admits a
     program (reserving space immediately -- the decision is binding) and
-    :meth:`remove_program` on eviction.  Whether a given segment's bytes
+    :meth:`remove_programs` on eviction.  Whether a given segment's bytes
     have actually been captured off a broadcast yet is tracked separately
     by the index server; this map is purely *where they belong*.
+
+    The map owns its boxes' storage: every reservation on them goes
+    through it.  It counts each box's free whole-segment slots -- its
+    *level* -- and files the box in one FIFO per level.  Each segment
+    goes to the box at the front of the highest non-empty level, which
+    then drops one level and joins the back of that queue; a release
+    appends the box at the back of the level it rises to.  (For peers
+    with equal disks, as the simulator builds them, more free slots is
+    more free bytes.)
+
+    Queue entries are never withdrawn.  An entry whose level no longer
+    matches its box is stale: when it reaches a front it moves to the
+    back of the box's current level.  An old entry whose box has
+    returned to its level is valid again and keeps its place.  Within a
+    level, queue order is insertion order, so every choice is the one a
+    heap keyed by ``(-free slots, insertion counter)`` with lazy
+    staleness checks would make; the digests in
+    ``tests/cache/placement_golden.json`` pin this order.
     """
 
-    __slots__ = ("_boxes", "_counter", "_heap", "_assignments")
+    __slots__ = ("_free", "_total_free", "_levels", "_top", "_assignments")
 
     def __init__(self, boxes: Sequence[SetTopBox]) -> None:
         if not boxes:
             raise PlacementError("placement requires at least one peer")
-        self._boxes: List[SetTopBox] = list(boxes)
-        # Max-heap by free bytes with a tiebreak counter: (-free, n, box).
-        self._counter = itertools.count()
-        self._heap: List[Tuple[float, int, SetTopBox]] = [
-            (-box.free_bytes, next(self._counter), box) for box in self._boxes
+        per_segment = segment_bytes()
+        #: Per box: free whole-segment slots, which is also its level
+        #: (with SetTopBox.reserve's 1e-6 tolerance).
+        self._free: Dict[SetTopBox, int] = {
+            box: int((box.free_bytes + 1e-6) // per_segment) for box in boxes
+        }
+        self._total_free = sum(self._free.values())
+        #: Highest level that may be non-empty; every level above is empty.
+        self._top = max(self._free.values())
+        #: One FIFO of boxes per level.
+        self._levels: List[Deque[SetTopBox]] = [
+            deque() for _ in range(self._top + 1)
         ]
-        heapq.heapify(self._heap)
+        for box in boxes:
+            self._levels[self._free[box]].append(box)
         #: program_id -> tuple of boxes, one per segment index.
         self._assignments: Dict[int, Tuple[SetTopBox, ...]] = {}
 
@@ -125,7 +151,7 @@ class PlacementMap:
         """Whether ``program_id`` currently has a placement."""
         return program_id in self._assignments
 
-    def holders(self, program_id: int):
+    def holders(self, program_id: int) -> Optional[Tuple[SetTopBox, ...]]:
         """Per-segment peer assignment tuple, or ``None`` if not placed.
 
         The hot-path combination of :meth:`is_placed` + :meth:`holder_of`
@@ -138,54 +164,55 @@ class PlacementMap:
         """Assign every segment of ``program`` to a least-loaded peer.
 
         All-or-nothing: either every segment is reserved or the placement
-        fails with no side effects.
+        fails with no side effects.  Each box reserves the bytes of all
+        the segments it takes in one call.
 
         Raises
         ------
         PlacementError
-            If the program is already placed or no peer can take a
-            segment (only possible when membership capacity accounting
-            disagrees with physical capacity -- a caller bug).
+            If the program is already placed or the peers have fewer free
+            segment slots than it has segments (only possible when
+            membership capacity accounting disagrees with physical
+            capacity -- a caller bug).
         """
-        if program.program_id in self._assignments:
-            raise PlacementError(f"program {program.program_id} already placed")
-        per_segment = segment_bytes()
+        program_id = program.program_id
+        if program_id in self._assignments:
+            raise PlacementError(f"program {program_id} already placed")
+        needed = program.num_segments
+        if needed > self._total_free:
+            raise PlacementError(
+                f"program {program_id} needs {needed} segment slots, "
+                f"only {self._total_free} free"
+            )
+        levels = self._levels
+        free = self._free
+        top = self._top
         chosen: List[SetTopBox] = []
-        try:
-            for _ in range(program.num_segments):
-                box = self._pop_roomiest(per_segment)
-                box.reserve(program.program_id, per_segment)
-                chosen.append(box)
-                heapq.heappush(self._heap, (-box.free_bytes, next(self._counter), box))
-        except PlacementError:
-            for box in chosen:
-                box.release(program.program_id)
-            # Re-heapify lazily: stale entries are verified on pop.
-            raise
+        for _ in range(needed):
+            # Walk down past empty levels; the slot check above means a
+            # box with a free slot still has a valid entry below.
+            queue = levels[top]
+            while True:
+                if not queue:
+                    top -= 1
+                    queue = levels[top]
+                    continue
+                box = queue.popleft()
+                level = free[box]
+                if level == top:
+                    break
+                levels[level].append(box)  # stale: re-queue where it is
+            free[box] = level - 1
+            levels[level - 1].append(box)
+            chosen.append(box)
+        self._top = top
+        self._total_free -= needed
+        per_segment = segment_bytes()
+        for box, slots in Counter(chosen).items():
+            box.reserve(program_id, slots * per_segment)
         assignment = tuple(chosen)
-        self._assignments[program.program_id] = assignment
+        self._assignments[program_id] = assignment
         return assignment
-
-    def _pop_roomiest(self, needed_bytes: float) -> SetTopBox:
-        """Pop the peer with the most free space, verifying staleness.
-
-        Heap entries carry a free-bytes snapshot; entries whose snapshot
-        disagrees with the live value are re-pushed with current data.
-        """
-        while self._heap:
-            neg_free, _, box = heapq.heappop(self._heap)
-            if -neg_free != box.free_bytes:
-                heapq.heappush(self._heap, (-box.free_bytes, next(self._counter), box))
-                continue
-            if box.free_bytes + 1e-6 < needed_bytes:
-                # Roomiest peer cannot take a segment: physically full.
-                heapq.heappush(self._heap, (neg_free, next(self._counter), box))
-                raise PlacementError(
-                    f"no peer has {needed_bytes:.0f} B free "
-                    f"(roomiest: {box.free_bytes:.0f} B)"
-                )
-            return box
-        raise PlacementError("placement heap exhausted")  # pragma: no cover
 
     def remove_program(self, program_id: int) -> None:
         """Release every reservation held for ``program_id``.
@@ -195,28 +222,35 @@ class PlacementMap:
         """
         self.remove_programs((program_id,))
 
-    def remove_programs(self, program_ids) -> None:
+    def remove_programs(self, program_ids: Iterable[int]) -> None:
         """Release a whole decision's evictions in one batched call.
 
-        Performs exactly the per-program release/heap-push sequence of
-        :meth:`remove_program` in order -- placement tie-breaking, and
-        therefore every downstream delivery, is bit-identical to the
-        serial calls -- but hoists the heap, counter and assignment
-        lookups out of the loop.  Multi-victim admissions and oracle
-        recomputes hit this with dozens of programs per decision.
+        Performs exactly the per-program releases of
+        :meth:`remove_program` in order -- each box rejoins the back of
+        its new level in the order it first appeared in the program's
+        assignment, so placement ties, and therefore every downstream
+        delivery, are bit-identical to the serial calls.  Multi-victim
+        admissions and oracle recomputes hit this with dozens of
+        programs per decision.
         """
         assignments = self._assignments
-        heap = self._heap
-        counter = self._counter
-        heappush = heapq.heappush
+        levels = self._levels
+        free = self._free
+        top = self._top
+        released = 0
         for program_id in program_ids:
             assignment = assignments.pop(program_id, None)
             if assignment is None:
                 continue
-            # dict.fromkeys deduplicates while preserving assignment
-            # order; iterating a set here would vary with object identity
-            # hashes and break run-to-run determinism of the placement
-            # heap.
-            for box in dict.fromkeys(assignment):
+            # Counter keeps first-appearance order, so boxes rejoin
+            # their levels in assignment order on every run.
+            for box, slots in Counter(assignment).items():
                 box.release(program_id)
-                heappush(heap, (-box.free_bytes, next(counter), box))
+                released += slots
+                level = free[box] + slots
+                free[box] = level
+                levels[level].append(box)
+                if level > top:
+                    top = level
+        self._top = top
+        self._total_free += released

@@ -1,5 +1,7 @@
 """Segmentation math and physical placement."""
 
+import random
+
 import pytest
 
 from repro import units
@@ -131,6 +133,60 @@ class TestPlacementMap:
         with pytest.raises(PlacementError):
             placement.place_program(Program(2, 300.0))
 
+    def test_peers_rank_by_free_whole_slots(self):
+        # 2.5 and 2 segments of disk are both two slots: a tie, so the
+        # first-listed box takes the first segment of each level.
+        narrow = SetTopBox(0, storage_bytes=2 * segment_bytes())
+        wide = SetTopBox(1, storage_bytes=2.5 * segment_bytes())
+        placement = PlacementMap([narrow, wide])
+        assignment = placement.place_program(Program(0, 1200.0))
+        assert [box.box_id for box in assignment] == [0, 1, 0, 1]
+        with pytest.raises(PlacementError):
+            placement.place_program(Program(1, 300.0))
+
     def test_empty_peer_list_rejected(self):
         with pytest.raises(PlacementError):
             PlacementMap([])
+
+
+class TestFailedPlacementHasNoSideEffects:
+    """An over-capacity call fails before it touches any state."""
+
+    def test_later_placements_match_a_map_that_never_failed(self):
+        for seed in range(500):
+            self._replay_beside_twin(seed)
+
+    @staticmethod
+    def _replay_beside_twin(seed):
+        rng = random.Random(seed)
+        slots = [rng.randint(1, 4) for _ in range(rng.randint(2, 6))]
+        probed_boxes = [SetTopBox(i, storage_bytes=n * segment_bytes())
+                        for i, n in enumerate(slots)]
+        twin_boxes = [SetTopBox(i, storage_bytes=n * segment_bytes())
+                      for i, n in enumerate(slots)]
+        probed = PlacementMap(probed_boxes)
+        twin = PlacementMap(twin_boxes)
+        free = sum(slots)
+        placed = {}
+        for pid in range(60):
+            if placed and rng.random() < 0.4:
+                victim = rng.choice(sorted(placed))
+                free += placed.pop(victim)
+                probed.remove_programs((victim,))
+                twin.remove_programs((victim,))
+                continue
+            if rng.random() < 0.3:
+                # Over capacity: only the probed map sees the call.
+                with pytest.raises(PlacementError):
+                    probed.place_program(Program(10_000 + pid, (free + 1) * 300.0))
+            if free == 0:
+                continue
+            segments = rng.randint(1, free)
+            program = Program(pid, segments * 300.0)
+            got = probed.place_program(program)  # fits, so must not raise
+            want = twin.place_program(program)
+            assert [b.box_id for b in got] == [b.box_id for b in want], seed
+            assert ([b.used_bytes for b in probed_boxes]
+                    == [b.used_bytes for b in twin_boxes]), seed
+            placed[pid] = segments
+            free -= segments
