@@ -19,7 +19,8 @@ rebuilt:
   baseline;
 * end-to-end replay -- one full system run on each engine path (heap,
   bucket, and -- when numpy is importable -- columnar), with drain
-  throughput reported as events/s per engine;
+  throughput reported as events/s per engine, and the bucket time
+  compared against the recorded inline-metering baseline;
 * sweep wall-clock -- the same config sweep serial vs. multi-worker
   (with the worker count and CPU count recorded, since a single-CPU
   host cannot show parallel speedup);
@@ -129,6 +130,24 @@ HEAP_PLACEMENT_REFERENCE = {
         "80 peers x 2 GB, 14-segment programs, evict the oldest then "
         "admit; measured alternating with the level-FIFO map, whose "
         "median on the same runs was 0.389 s"
+    ),
+}
+
+
+#: End-to-end baseline measured at the parent of the delivery-log fold
+#: (af0a169), where the bucket engine built a ``DeliveryOutcome``,
+#: bumped index-server stats and made one to three
+#: ``HourlyMeter.add_interval`` calls per delivery: the end_to_end
+#: section's bucket replay, median of 5 best-of-3 wall clocks
+#: alternated with the folded code on a 2-vCPU Xeon host (Python
+#: 3.11.7).  Both produce bit-identical results (bench/golden.json).
+INLINE_METER_REFERENCE = {
+    "commit": "af0a169",
+    "bucket_s": 0.528,
+    "note": (
+        "1500 users / 6 days / seed 5, neighborhood 60; measured "
+        "alternating with the delivery-log fold, whose median on the "
+        "same runs was 0.420 s"
     ),
 }
 
@@ -581,6 +600,10 @@ def main() -> int:
         report["end_to_end"]["pr1_bucket_s"] = PR1_CACHE_REFERENCE["end_to_end_s"]
         report["end_to_end"]["speedup_vs_pr1"] = round(
             PR1_CACHE_REFERENCE["end_to_end_s"] / bucket_e2e, 2
+        )
+        report["end_to_end"]["inline_meter_reference"] = INLINE_METER_REFERENCE
+        report["end_to_end"]["speedup_vs_inline_meter"] = round(
+            INLINE_METER_REFERENCE["bucket_s"] / bucket_e2e, 2
         )
 
     # ---- live headend drain -------------------------------------------

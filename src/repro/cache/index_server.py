@@ -20,7 +20,7 @@ physical placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro import units
 from repro.cache.base import CacheStrategy, MembershipChange
@@ -34,10 +34,9 @@ from repro.trace.records import Catalog
 class DeliveryOutcome:
     """How one segment request was satisfied.
 
-    A plain ``__slots__`` value object rather than a dataclass: one is
-    produced per segment request (hundreds of thousands per run), and
-    the frozen-dataclass ``object.__setattr__`` constructor showed up in
-    profiles.  Treat instances as immutable; server outcomes carry no
+    Returned by :meth:`IndexServer.request_segment`; the engines log
+    the integer ``CODE_*`` of :meth:`IndexServer.request_segment_code`
+    instead.  Treat instances as immutable; server outcomes carry no
     per-request state and are shared singletons.
 
     Attributes
@@ -93,18 +92,11 @@ class DeliveryOutcome:
         )
 
 
-#: Shared allocation-free outcomes for the server miss path (the most
-#: common deliveries early in a run, and the only ones with no
-#: per-request payload).
-_SERVER_MISS = DeliveryOutcome("server")
-_SERVER_MISS_FILLED = DeliveryOutcome("server", filled=True)
-_SERVER_BUSY = DeliveryOutcome("server", busy_miss=True)
-
-#: Integer outcome codes returned by :meth:`IndexServer.request_segment_code`
-#: (the columnar engine's delivery path).  The columnar walk collects one
-#: code per delivery and derives every counter :meth:`request_segment`
-#: would have bumped in a single ``bincount`` per neighborhood, so the
-#: per-request path sheds both the outcome object and the stat updates.
+#: Integer outcome codes returned by :meth:`IndexServer.request_segment_code`.
+#: Every engine logs one code per delivery and derives the counters
+#: (:meth:`IndexServerStats.add_outcomes`) and meters from the codes in
+#: batches, so the per-request path allocates no outcome object and
+#: bumps no stats.  Codes from ``CODE_BUSY`` on are server deliveries.
 CODE_LOCAL = 0
 CODE_PEER = 1
 CODE_BUSY = 2
@@ -112,6 +104,18 @@ CODE_MISS = 3
 CODE_MISS_FILL_SKIP = 4
 CODE_MISS_FILLED = 5
 N_OUTCOME_CODES = 6
+
+#: code -> ``DeliveryOutcome.source``.
+SOURCE_OF_CODE = ("local", "peer", "server", "server", "server", "server")
+
+#: Server outcomes by ``code - CODE_BUSY``: shared singletons, since
+#: they carry no per-request payload.
+_SERVER_OUTCOMES = (
+    DeliveryOutcome("server", busy_miss=True),
+    DeliveryOutcome("server"),
+    DeliveryOutcome("server"),
+    DeliveryOutcome("server", filled=True),
+)
 
 
 @dataclass
@@ -130,6 +134,19 @@ class IndexServerStats:
     admissions: int = 0
     evictions: int = 0
     placement_failures: int = 0
+
+    def add_outcomes(self, counts: Sequence[int]) -> None:
+        """Count deliveries from per-code counts (indexed by ``CODE_*``)."""
+        local, peer, busy, miss, skip, filled = counts
+        cold = miss + skip + filled
+        self.segment_requests += local + peer + busy + cold
+        self.local_hits += local
+        self.peer_hits += peer
+        self.busy_misses += busy
+        self.server_deliveries += busy + cold
+        self.cold_misses += cold
+        self.fill_skips += skip
+        self.fills += filled
 
 
 class IndexServer:
@@ -262,9 +279,44 @@ class IndexServer:
         ``watch_seconds`` is how long the viewer will actually consume
         this segment (the final segment of an abandoned session is
         partial); streams and bandwidth are charged for exactly that
-        long.
+        long.  The per-request form of :meth:`request_segment_code`,
+        which does the routing; this wrapper adds the stats and the
+        outcome object.
         """
-        self.stats.segment_requests += 1
+        code = self.request_segment_code(
+            now, user_id, program_id, segment_index, watch_seconds
+        )
+        counts = [0] * N_OUTCOME_CODES
+        counts[code] = 1
+        self.stats.add_outcomes(counts)
+        if code >= CODE_BUSY:
+            return _SERVER_OUTCOMES[code - CODE_BUSY]
+        holder = self._placement.holders(program_id)[segment_index]
+        return DeliveryOutcome(SOURCE_OF_CODE[code], serving_box=holder.box_id)
+
+    def request_segment_code(
+        self,
+        now: float,
+        user_id: int,
+        program_id: int,
+        segment_index: int,
+        watch_seconds: float,
+    ) -> int:
+        """Serve one segment request, returning one ``CODE_*`` integer.
+
+        Performs every state change of a delivery -- channel leases,
+        fill captures, membership-set bookkeeping -- but bumps **no**
+        stats: the engines log one code per delivery and derive every
+        counter from the codes in batches (``IndexServerStats.add_outcomes``).
+
+        A cached segment is a hit (the viewer's own disk, or a holder
+        with a free channel) or a busy miss.  Otherwise the central
+        server broadcasts it (Fig 4), and the program's assigned peer
+        captures the broadcast only when the program is an admitted
+        member, the viewer will watch the *whole* segment (a partial
+        broadcast is a partial, unusable copy), and the peer has a free
+        channel to tune to it.
+        """
         stored = self._stored.get(program_id)
         if stored is not None and segment_index in stored:
             assignment = self._placement.holders(program_id)
@@ -275,54 +327,10 @@ class IndexServer:
             holder = assignment[segment_index]
             if holder.box_id == user_id:
                 # The viewer's own disk: no broadcast, no channel use.
-                self.stats.local_hits += 1
-                return DeliveryOutcome(source="local", serving_box=holder.box_id)
-            if holder.try_open_stream(now, watch_seconds):
-                self.stats.peer_hits += 1
-                return DeliveryOutcome(source="peer", serving_box=holder.box_id)
-            # Holder saturated: the paper's rule is that this *is* a miss.
-            self.stats.busy_misses += 1
-            self.stats.server_deliveries += 1
-            return _SERVER_BUSY
-
-        # Not in cache: central server broadcast (Fig 4), with an
-        # opportunistic fill if the program is admitted.
-        self.stats.cold_misses += 1
-        self.stats.server_deliveries += 1
-        if self._try_fill(now, program_id, segment_index, watch_seconds):
-            return _SERVER_MISS_FILLED
-        return _SERVER_MISS
-
-    def request_segment_code(
-        self,
-        now: float,
-        user_id: int,
-        program_id: int,
-        segment_index: int,
-        watch_seconds: float,
-    ) -> int:
-        """:meth:`request_segment` for the columnar walk.
-
-        Performs the exact same sequence of state changes (channel
-        leases, fill captures, membership-set bookkeeping) but returns
-        one of the ``CODE_*`` integers and bumps **no** stats: the
-        columnar engine derives every counter from the collected code
-        stream after the walk (``core/system.py``).  Keep this method
-        a line-for-line mirror of :meth:`request_segment` /
-        :meth:`_try_fill` minus the stat updates.
-        """
-        stored = self._stored.get(program_id)
-        if stored is not None and segment_index in stored:
-            assignment = self._placement.holders(program_id)
-        else:
-            assignment = None
-
-        if assignment is not None:
-            holder = assignment[segment_index]
-            if holder.box_id == user_id:
                 return CODE_LOCAL
             if holder.try_open_stream(now, watch_seconds):
                 return CODE_PEER
+            # Holder saturated: the paper's rule is that this *is* a miss.
             return CODE_BUSY
 
         if program_id not in self._strategy:
@@ -333,6 +341,9 @@ class IndexServer:
         stored = self._stored.setdefault(program_id, set())
         if segment_index in stored:  # pragma: no cover - guarded above
             return CODE_MISS
+        # Inlined segment_play_seconds(): every segment holds a full
+        # SEGMENT_SECONDS except the last, which holds the remainder --
+        # same floats, minus a catalog lookup and divmod per delivery.
         if segment_index < self._segment_counts[program_id] - 1:
             play_seconds = units.SEGMENT_SECONDS
         else:
@@ -345,43 +356,6 @@ class IndexServer:
             return CODE_MISS_FILL_SKIP
         stored.add(segment_index)
         return CODE_MISS_FILLED
-
-    def _try_fill(
-        self, now: float, program_id: int, segment_index: int, watch_seconds: float
-    ) -> bool:
-        """Capture an in-flight broadcast onto the assigned peer.
-
-        Succeeds only when the program is an admitted member, the viewer
-        will watch the *whole* segment (a partial broadcast is a partial,
-        unusable copy), and the assigned peer has a free channel to tune
-        to the broadcast.
-        """
-        if program_id not in self._strategy:
-            return False
-        assignment = self._placement.holders(program_id)
-        if assignment is None:
-            return False
-        stored = self._stored.setdefault(program_id, set())
-        if segment_index in stored:  # pragma: no cover - guarded by caller
-            return False
-        # Inlined segment_play_seconds(): every segment holds a full
-        # SEGMENT_SECONDS except the last, which holds the remainder --
-        # same floats, minus a catalog lookup and divmod per delivery.
-        if segment_index < self._segment_counts[program_id] - 1:
-            play_seconds = units.SEGMENT_SECONDS
-        else:
-            play_seconds = (self._lengths[program_id]
-                            - segment_index * units.SEGMENT_SECONDS)
-        if watch_seconds + 1e-9 < play_seconds:
-            self.stats.fill_skips += 1
-            return False
-        box = assignment[segment_index]
-        if not box.try_open_stream(now, watch_seconds):
-            self.stats.fill_skips += 1
-            return False
-        stored.add(segment_index)
-        self.stats.fills += 1
-        return True
 
     # ------------------------------------------------------------------
     # Introspection

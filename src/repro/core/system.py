@@ -8,14 +8,16 @@ trace through it:
 * each trace record becomes a *session start* event;
 * a session issues one *segment request* every 5 simulated minutes until
   the viewer walks away (matching section IV-B.1's segment flows);
-* every delivery is metered on the coax segment it crossed and, for
-  misses, on the central server (section V-B: "the download consumes
-  neighborhood bandwidth, and in the latter case, it also consumes
-  server bandwidth").
+* every delivery logs one outcome code; the log is folded in bounded
+  batches into the index-server counters and the hourly meters -- on
+  the coax segment it crossed and, for misses, on the central server
+  (section V-B: "the download consumes neighborhood bandwidth, and in
+  the latter case, it also consumes server bandwidth").
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time as _time
@@ -24,11 +26,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro import units
 from repro.cache.factory import BuildInputs
 from repro.errors import SimulationError
+from repro.cache import index_server as idx
 from repro.cache.index_server import IndexServer
 from repro.cache.segments import PlacementMap, cache_footprint_bytes, usable_capacity_bytes
 from repro.core.config import SimulationConfig
 from repro.core.media_server import MediaServer
-from repro.core.meter import HourlyMeter
+from repro.core.meter import HourlyMeter, accumulate_rows, expand_intervals
 from repro.core.results import SimulationCounters, SimulationResult
 from repro.peers.settop import SetTopBox
 from repro.sim.engine import Simulator
@@ -37,13 +40,18 @@ from repro.trace.records import SessionRecord, Trace
 
 
 #: Engine selectors: ``"columnar"`` precomputes the whole event stream
-#: as numpy arrays and batches metering/counting (the fast path when
-#: numpy is available); ``"bucket"`` replays sessions as tick-bucketed
-#: arcs (the scalar reference and the fallback); ``"heap"`` is the
+#: as numpy arrays (the fast path when numpy is available);
+#: ``"bucket"`` replays sessions as tick-bucketed arcs (the scalar
+#: reference and the fallback); ``"heap"`` is the
 #: legacy one-heap-event-per-segment chain, kept for equivalence
 #: testing.  All three produce bit-identical counters and meter buckets
 #: for the same trace/config.
 ENGINE_MODES = ("bucket", "heap", "columnar")
+
+#: Deliveries the scalar engines log before folding them into counters
+#: and meters.  Bounds the log's memory on every drain; the fold is
+#: bit-identical at any value (tests/core/test_delivery_fold.py).
+FLUSH_ROWS = 4096
 
 
 def columnar_supported() -> bool:
@@ -178,31 +186,30 @@ class CableVoDSystem:
 
         self._media_server = MediaServer()
         # Every meter is kept *per neighborhood* (local-index lists for
-        # the hot path, global-id dicts for results).  The aggregate
+        # the fold, global-id dicts for results).  The aggregate
         # total/server meters are folded from these in ascending global
         # id at result-build time; since neighborhoods never interact,
         # a shard reduction can union the per-neighborhood meters and
         # replay the identical fold -- the keystone of shard/monolith
-        # bit-identity.
-        n_local = len(selected)
-        self._local_total = [HourlyMeter() for _ in range(n_local)]
-        self._local_server = [HourlyMeter() for _ in range(n_local)]
-        self._local_coax = [HourlyMeter() for _ in range(n_local)]
-        # Peer-originated broadcasts only: the traffic that rides the
-        # bidirectional amplifiers the paper requires in section IV-B.4.
-        self._local_upstream = [HourlyMeter() for _ in range(n_local)]
-        self._total_meters: Dict[int, HourlyMeter] = {
-            n.neighborhood_id: m for n, m in zip(selected, self._local_total)
-        }
-        self._server_meters: Dict[int, HourlyMeter] = {
-            n.neighborhood_id: m for n, m in zip(selected, self._local_server)
-        }
-        self._coax_meters: Dict[int, HourlyMeter] = {
-            n.neighborhood_id: m for n, m in zip(selected, self._local_coax)
-        }
-        self._upstream_meters: Dict[int, HourlyMeter] = {
-            n.neighborhood_id: m for n, m in zip(selected, self._local_upstream)
-        }
+        # bit-identity.  Families: all deliveries, on-coax deliveries,
+        # peer-originated broadcasts (the traffic that rides the
+        # bidirectional amplifiers of section IV-B.4), server deliveries.
+        families = [[HourlyMeter() for _ in selected] for _ in range(4)]
+        (self._local_total, self._local_coax, self._local_upstream,
+         self._local_server) = families
+        (self._total_meters, self._coax_meters, self._upstream_meters,
+         self._server_meters) = (
+            {n.neighborhood_id: m for n, m in zip(selected, meters)}
+            for meters in families)
+        #: Flat delivery log, four entries per delivery: ``(now, watch,
+        #: local neighborhood, outcome code)``; see :meth:`_flush`.
+        self._log: list = []
+        #: Per-(local neighborhood, outcome code) delivery counts, applied
+        #: to the index-server stats when the result is built.
+        self._counts = [[0] * idx.N_OUTCOME_CODES for _ in selected]
+        self._flush_len = 4 * FLUSH_ROWS
+        self._vector_fold = columnar_supported()
+        self._ran = False
         self._sim = Simulator()
         #: Live admission controller (:mod:`repro.live`), bound by
         #: :meth:`run_live`.  ``None`` on every offline path -- the
@@ -280,10 +287,7 @@ class CableVoDSystem:
         self._deliver_segment(
             now,
             self._servers[neighborhood_id],
-            self._local_total[neighborhood_id],
-            self._local_coax[neighborhood_id],
-            self._local_upstream[neighborhood_id],
-            self._local_server[neighborhood_id],
+            neighborhood_id,
             record.user_id,
             record.program_id,
             segment_index,
@@ -307,7 +311,7 @@ class CableVoDSystem:
     # ``end_time`` and the program's segment count are fixed, so instead
     # of rescheduling one heap event per segment the whole flow becomes
     # one SessionArc walking the 5-minute bucket grid.  Per-session
-    # invariants (index server, meters, last segment index) are hoisted
+    # invariants (index server, neighborhood, last segment index) are hoisted
     # into the arc's argument tuple once instead of being re-derived
     # 100+ times per session.  Both paths execute the exact same
     # delivery sequence in the exact same order -- see
@@ -346,18 +350,12 @@ class CableVoDSystem:
             watch = units.SEGMENT_SECONDS
         if watch <= 1e-6:
             return None
-        total_meter = self._local_total[neighborhood_id]
-        coax_meter = self._local_coax[neighborhood_id]
-        upstream_meter = self._local_upstream[neighborhood_id]
-        server_meter = self._local_server[neighborhood_id]
-        self._deliver_segment(
-            now, server, total_meter, coax_meter, upstream_meter,
-            server_meter, user_id, program_id, 0, watch
-        )
+        self._deliver_segment(now, server, neighborhood_id, user_id,
+                              program_id, 0, watch)
         last_segment = self._last_segment[program_id]
         if 0 < last_segment and end > now + units.SEGMENT_SECONDS + 1e-6:
-            return (server, total_meter, coax_meter, upstream_meter,
-                    server_meter, user_id, program_id, end, last_segment)
+            return (server, neighborhood_id, user_id, program_id, end,
+                    last_segment)
         return None
 
     def _start_session_heap(self, record: SessionRecord) -> None:
@@ -367,7 +365,7 @@ class CableVoDSystem:
         may execute behind the calendar's already-activated front
         bucket -- ``start_arc`` would reject the continuation there, so
         the remaining segments are scheduled with ``sim.at`` instead.
-        Delivery order and metering are identical to the arc path.
+        Delivery order and outcome log are identical to the arc path.
         """
         args = self._open_session(record)
         if args is not None:
@@ -381,9 +379,9 @@ class CableVoDSystem:
             sim.at(sim.now + units.SEGMENT_SECONDS, self._heap_step,
                    index + 1, *args)
 
-    def _arc_step(self, now: float, index: int, server, total_meter,
-                  coax_meter, upstream_meter, server_meter, user_id: int,
-                  program_id: int, end: float, last_segment: int) -> bool:
+    def _arc_step(self, now: float, index: int, server, neighborhood: int,
+                  user_id: int, program_id: int, end: float,
+                  last_segment: int) -> bool:
         """One arc step: deliver segment ``index + 1``; return whether to go on."""
         watch = end - now
         if watch > units.SEGMENT_SECONDS:
@@ -391,42 +389,102 @@ class CableVoDSystem:
         if watch <= 1e-6:
             return False
         segment_index = index + 1
-        self._deliver_segment(
-            now, server, total_meter, coax_meter, upstream_meter,
-            server_meter, user_id, program_id, segment_index, watch,
-        )
+        self._deliver_segment(now, server, neighborhood, user_id,
+                              program_id, segment_index, watch)
         return (segment_index < last_segment
                 and end > now + units.SEGMENT_SECONDS + 1e-6)
 
-    def _deliver_segment(self, now: float, server, total_meter, coax_meter,
-                         upstream_meter, server_meter, user_id: int,
-                         program_id: int, segment_index: int,
+    def _deliver_segment(self, now: float, server, neighborhood: int,
+                         user_id: int, program_id: int, segment_index: int,
                          watch: float) -> None:
-        """Route one segment delivery and meter it (both engine paths).
+        """Route one segment delivery and log its outcome (scalar engines).
 
-        Branches on the raw ``source`` string once instead of going
-        through the ``on_coax`` / ``from_server`` properties -- two
-        Python property calls per delivery are measurable at hundreds of
-        thousands of deliveries per run.  All four meters are the
-        requesting user's *neighborhood* meters; the system-wide total
-        and server meters are folds over these (see ``__init__``).
+        Nothing is counted or metered here: the outcome code joins the
+        delivery log, and :meth:`_flush` folds every ``FLUSH_ROWS``
+        deliveries into the neighborhood's index-server stats and its
+        four meters (total, coax, upstream, server) -- the columnar
+        engine's fold, or its scalar reference without numpy.
         """
-        outcome = server.request_segment(
+        code = server.request_segment_code(
             now, user_id, program_id, segment_index, watch
         )
-        total_meter.add_interval(now, watch)
-        source = outcome.source
-        if source != "local":
-            coax_meter.add_interval(now, watch)
-            if source == "peer":
-                upstream_meter.add_interval(now, watch)
-            else:  # "server" is the only other on-coax source
-                server_meter.add_interval(now, watch)
-                self._media_server.deliveries += 1
+        log = self._log
+        log += (now, watch, neighborhood, code)
+        if len(log) >= self._flush_len:
+            self._flush()
         live = self._live
         if live is not None:
-            live.on_delivery(user_id, self._user_neighborhood[user_id],
-                             source, outcome.filled, watch)
+            live.on_delivery(user_id, neighborhood, idx.SOURCE_OF_CODE[code],
+                             code == idx.CODE_MISS_FILLED, watch)
+
+    def _flush(self) -> None:
+        """Fold the delivery log into counters and meters, then clear it."""
+        log = self._log
+        if not log:
+            return
+        if self._vector_fold:
+            import numpy as np
+
+            rows = np.array(log, dtype=np.float64).reshape(-1, 4)
+            self._fold(rows[:, 2].astype(np.int64),
+                       rows[:, 3].astype(np.int64),
+                       expand_intervals(rows[:, 0], rows[:, 1]))
+        else:
+            self._fold_scalar(log)
+        log.clear()
+
+    def _fold_scalar(self, log: list) -> None:
+        """The reference fold: replay the log through ``add_interval``.
+
+        Runs when numpy is absent (or ``REPRO_ENGINE=python``); every
+        meter sees one ``add_interval`` per delivery in delivery order.
+        """
+        counts = self._counts
+        total, coax = self._local_total, self._local_coax
+        upstream, server = self._local_upstream, self._local_server
+        rows = iter(log)
+        for now, watch, neighborhood, code in zip(rows, rows, rows, rows):
+            counts[neighborhood][code] += 1
+            total[neighborhood].add_interval(now, watch)
+            if code != idx.CODE_LOCAL:
+                coax[neighborhood].add_interval(now, watch)
+                if code == idx.CODE_PEER:
+                    upstream[neighborhood].add_interval(now, watch)
+                else:
+                    server[neighborhood].add_interval(now, watch)
+
+    def _fold(self, neighborhoods, codes, expanded) -> None:
+        """Fold delivery columns into counters and meters (numpy).
+
+        ``expanded`` is :func:`expand_intervals` of the deliveries'
+        times and watch lengths (taken by the caller, so those columns
+        are freed before the fold allocates).  Per-neighborhood code
+        counts come from one ``bincount`` of (neighborhood, code) pairs.
+        Meter rows are scattered per family by :func:`accumulate_rows`,
+        which seeds each touched bucket with its current value: every
+        bucket sees the same float additions as one ``add_interval`` per
+        delivery in delivery order, however the deliveries are cut into
+        batches.
+        """
+        import numpy as np
+
+        n_codes = idx.N_OUTCOME_CODES
+        # The first fold turns the nested-list counts into an array.
+        self._counts = np.bincount(
+            neighborhoods * n_codes + codes,
+            minlength=len(self._servers) * n_codes,
+        ).reshape(-1, n_codes) + self._counts
+
+        event_ids, hours, bits = expanded
+        row_nbhd = neighborhoods[event_ids]
+        row_code = codes[event_ids]
+        accumulate_rows(self._local_total, row_nbhd, hours, bits)
+        for meters, rows in (
+            (self._local_coax, row_code != idx.CODE_LOCAL),
+            (self._local_upstream, row_code == idx.CODE_PEER),
+            (self._local_server, row_code >= idx.CODE_BUSY),
+        ):
+            accumulate_rows(meters, row_nbhd[rows], hours[rows], bits[rows])
 
     # ------------------------------------------------------------------
     # Execution
@@ -439,7 +497,7 @@ class CableVoDSystem:
                 "this system was built traceless; feed it chunks via "
                 "run_streaming()"
             )
-        started = _time.perf_counter()
+        started = self._start_run()
         if self._engine == "columnar":
             events_processed = self._run_columnar()
         else:
@@ -484,7 +542,7 @@ class CableVoDSystem:
                 f"(got {self._engine!r}); materialize the trace for "
                 f"heap/columnar runs"
             )
-        started = _time.perf_counter()
+        started = self._start_run()
         sim = self._sim
         end_time = 0.0
         for chunk in chunks:
@@ -536,18 +594,18 @@ class CableVoDSystem:
                 f"live mode drains on the bucket engine only "
                 f"(got {self._engine!r})"
             )
-        started = _time.perf_counter()
+        if requests is None and self._trace is None:
+            raise SimulationError(
+                "this system was built traceless; pass requests= to "
+                "feed the live drain"
+            )
+        started = self._start_run()
         callback = self._start_session_fast
         if admission is not None:
             admission.bind([n.size for n in self._selected])
             self._live = admission
             callback = self._live_request
         if requests is None:
-            if self._trace is None:
-                raise SimulationError(
-                    "this system was built traceless; pass requests= to "
-                    "feed the live drain"
-                )
             self._sim.preload_starts(
                 self._trace.start_times, callback, self._trace.records
             )
@@ -643,34 +701,41 @@ class CableVoDSystem:
         # "deny": accounted inside the controller; nothing reaches the
         # plant.
 
+    def _start_run(self) -> float:
+        """Claim this system's one replay; return the start timestamp."""
+        if self._ran:
+            raise SimulationError(
+                "this system already ran a replay; build a new "
+                "CableVoDSystem for another run"
+            )
+        self._ran = True
+        return _time.perf_counter()
+
     def _build_result(self, events_processed: int, trace_end_time: float,
                       started: float) -> SimulationResult:
+        self._flush()
         counters = SimulationCounters()
-        for server in self._servers:
-            stats = server.stats
-            counters.sessions += stats.sessions
-            counters.segment_requests += stats.segment_requests
-            counters.peer_hits += stats.peer_hits
-            counters.local_hits += stats.local_hits
-            counters.server_deliveries += stats.server_deliveries
-            counters.busy_misses += stats.busy_misses
-            counters.cold_misses += stats.cold_misses
-            counters.fills += stats.fills
-            counters.fill_skips += stats.fill_skips
-            counters.admissions += stats.admissions
-            counters.evictions += stats.evictions
-            counters.placement_failures += stats.placement_failures
+        names = [f.name for f in dataclasses.fields(counters)]
+        for server, row in zip(self._servers, self._counts):
+            row = [int(count) for count in row]
+            server.stats.add_outcomes(row)
+            self._media_server.deliveries += sum(row[idx.CODE_BUSY:])
+            for name in names:  # IndexServerStats has the same fields
+                setattr(counters, name, getattr(counters, name)
+                        + getattr(server.stats, name))
 
         # The canonical fold: ascending global neighborhood id.  A
         # shard merge (SimulationResult.merged) unions the disjoint
         # per-neighborhood dicts and folds in the same order, which is
         # what keeps sharded and monolithic aggregates bit-identical.
+        server_meter = HourlyMeter.merged(self._local_server)
+        self._media_server.meter = HourlyMeter.merged([server_meter])
         return SimulationResult(
             config=self._config,
             n_users=sum(n.size for n in self._selected),
             n_neighborhoods=len(self._selected),
             trace_end_time=trace_end_time,
-            server_meter=HourlyMeter.merged(self._local_server),
+            server_meter=server_meter,
             total_meter=HourlyMeter.merged(self._local_total),
             coax_meters=self._coax_meters,
             upstream_meters=self._upstream_meters,
@@ -696,15 +761,13 @@ class CableVoDSystem:
         mutations inside ``request_segment_code`` -- and collects one
         outcome code per delivery.  Everything derivable from the code
         stream (per-neighborhood hit/miss counters, every hourly meter
-        bucket, server deliveries) is then computed in vectorized
-        post-passes that replay the identical float additions in the
-        identical order, keeping the engine bit-for-bit equal to
-        ``bucket``/``heap`` (tests/core/test_engine_equivalence.py).
+        bucket, server deliveries) is then computed by :meth:`_fold`,
+        the same fold the scalar engines run over their delivery log,
+        keeping the engine bit-for-bit equal to ``bucket``/``heap``
+        (tests/core/test_engine_equivalence.py).
         """
         import numpy as np
 
-        from repro.cache import index_server as idx
-        from repro.core.meter import expand_intervals
         from repro.sim.columnar import cached_schedule
 
         trace = self._trace
@@ -763,82 +826,8 @@ class CableVoDSystem:
                         now, user_id, program_id, 0, watch
                     ))
 
-        # ---- counters from the code stream ---------------------------
         delivered = schedule.delivered
-        codes_arr = np.asarray(codes, dtype=np.int64)
-        deliver_nbhd = event_nbhd[delivered]
-        n_servers = len(self._servers)
-        n_codes = idx.N_OUTCOME_CODES
-        pair_counts = np.bincount(
-            deliver_nbhd * n_codes + codes_arr,
-            minlength=n_servers * n_codes,
-        ).reshape(n_servers, n_codes)
-        for server, row in zip(self._servers, pair_counts):
-            local, peer, busy, miss, skip, filled = (int(c) for c in row)
-            stats = server.stats
-            stats.segment_requests += local + peer + busy + miss + skip + filled
-            stats.local_hits += local
-            stats.peer_hits += peer
-            stats.busy_misses += busy
-            stats.server_deliveries += busy + miss + skip + filled
-            stats.cold_misses += miss + skip + filled
-            stats.fill_skips += skip
-            stats.fills += filled
-        from_server = codes_arr >= idx.CODE_BUSY
-        self._media_server.deliveries += int(from_server.sum())
-
-        # ---- meters from the delivery stream -------------------------
-        if codes_arr.size:
-            event_ids, hours, bits = expand_intervals(
-                schedule.time[delivered], schedule.watch[delivered]
-            )
-            n_hours = int(hours.max()) + 1
-
-            def fill(meter, dense) -> None:
-                # Dense accumulation replayed the scalar addition order
-                # per bucket (np.add.at is order-preserving); one add of
-                # each sum into the fresh meter is exact (0 + v == v).
-                nonzero = np.flatnonzero(dense)
-                if nonzero.size:
-                    meter.add_bits_bulk(nonzero.tolist(),
-                                        dense[nonzero].tolist())
-
-            row_nbhd = deliver_nbhd[event_ids]
-            row_code = codes_arr[event_ids]
-
-            # Every meter family is per-neighborhood now (totals and
-            # server traffic included); np.add.at is order-preserving,
-            # so each (neighborhood, hour) cell accumulates through the
-            # same float additions as the scalar engines' per-
-            # neighborhood add_interval calls in event order.
-            dense = np.zeros(n_servers * n_hours)
-            np.add.at(dense, row_nbhd * n_hours + hours, bits)
-            dense = dense.reshape(n_servers, n_hours)
-            for local, meter in enumerate(self._local_total):
-                fill(meter, dense[local])
-
-            on_coax = row_code != idx.CODE_LOCAL
-            dense = np.zeros(n_servers * n_hours)
-            np.add.at(dense, row_nbhd[on_coax] * n_hours + hours[on_coax],
-                      bits[on_coax])
-            dense = dense.reshape(n_servers, n_hours)
-            for local, meter in enumerate(self._local_coax):
-                fill(meter, dense[local])
-
-            upstream = row_code == idx.CODE_PEER
-            dense = np.zeros(n_servers * n_hours)
-            np.add.at(dense, row_nbhd[upstream] * n_hours + hours[upstream],
-                      bits[upstream])
-            dense = dense.reshape(n_servers, n_hours)
-            for local, meter in enumerate(self._local_upstream):
-                fill(meter, dense[local])
-
-            server_rows = row_code >= idx.CODE_BUSY
-            dense = np.zeros(n_servers * n_hours)
-            np.add.at(dense, row_nbhd[server_rows] * n_hours
-                      + hours[server_rows], bits[server_rows])
-            dense = dense.reshape(n_servers, n_hours)
-            for local, meter in enumerate(self._local_server):
-                fill(meter, dense[local])
-
+        self._fold(event_nbhd[delivered], np.asarray(codes, dtype=np.int64),
+                   expand_intervals(schedule.time[delivered],
+                                    schedule.watch[delivered]))
         return schedule.n_events

@@ -138,3 +138,26 @@ class TestMerge:
         a.merged_with(b)
         assert a.bits_in_hour(0) == 10.0
         assert b.total_bits() == 0.0
+
+
+class TestAccumulateRows:
+    @pytest.mark.parametrize("batch", [1, 5, 64, 1000])
+    def test_batches_equal_per_interval_adds(self, batch):
+        np = pytest.importorskip("numpy")
+        from repro.core.meter import accumulate_rows, expand_intervals
+
+        rng = np.random.default_rng(3)
+        starts = np.sort(rng.uniform(0.0, 6 * HOUR, 600))
+        durations = rng.uniform(1.0, 1.5 * HOUR, 600)
+        owners = rng.integers(0, 3, 600)
+        scalar = [HourlyMeter() for _ in range(3)]
+        for start, duration, owner in zip(starts.tolist(), durations.tolist(),
+                                          owners.tolist()):
+            scalar[owner].add_interval(start, duration)
+        batched = [HourlyMeter() for _ in range(3)]
+        for at in range(0, 600, batch):
+            cut = slice(at, at + batch)
+            event_ids, hours, bits = expand_intervals(starts[cut],
+                                                      durations[cut])
+            accumulate_rows(batched, owners[cut][event_ids], hours, bits)
+        assert [m.buckets() for m in batched] == [m.buckets() for m in scalar]

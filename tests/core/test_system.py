@@ -1,5 +1,7 @@
 """End-to-end system integration on small synthetic workloads."""
 
+import dataclasses
+
 import pytest
 
 from repro import units
@@ -14,6 +16,8 @@ from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.core.system import CableVoDSystem
 from repro.baselines.no_cache import no_cache_peak_gbps
+from repro.errors import SimulationError
+from repro.trace.streaming import open_trace_stream
 from repro.trace.records import Catalog, Program, SessionRecord, Trace
 
 
@@ -165,3 +169,48 @@ class TestCoaxAccounting:
         result = run_simulation(small_trace, config(strategy=LFUSpec()))
         coax_total = sum(m.total_bits() for m in result.coax_meters.values())
         assert coax_total <= result.total_meter.total_bits() + 1e-6
+
+
+class TestOneReplayPerSystem:
+    """A system replays once; a second drain fails instead of accumulating."""
+
+    DRAINS = {
+        "columnar": lambda system, model: system.run(),
+        "bucket": lambda system, model: system.run(),
+        "streaming": lambda system, model: system.run_streaming(
+            open_trace_stream(model).chunks()),
+        "live": lambda system, model: system.run_live(),
+    }
+
+    @pytest.mark.parametrize("drain", sorted(DRAINS))
+    def test_second_run_raises_and_leaves_the_first_result(
+            self, tiny_model, tiny_trace, drain):
+        if drain == "streaming":
+            stream = open_trace_stream(tiny_model)
+            system = CableVoDSystem(None, config(), catalog=stream.catalog,
+                                    n_users=stream.n_users)
+        else:
+            engine = "columnar" if drain == "columnar" else "bucket"
+            system = CableVoDSystem(tiny_trace, config(), engine=engine)
+        replay = self.DRAINS[drain]
+        first = replay(system, tiny_model)
+        counters = dataclasses.replace(first.counters)
+        buckets = first.server_meters[0].buckets()
+        with pytest.raises(SimulationError, match="already ran"):
+            replay(system, tiny_model)
+        assert first.counters == counters
+        assert first.counters.sessions == len(tiny_trace)
+        assert first.server_meters[0].buckets() == buckets
+
+
+class TestMediaServerMeter:
+    @pytest.mark.parametrize("engine", ["bucket", "columnar"])
+    def test_media_server_meters_what_the_result_reports(self, tiny_trace,
+                                                         engine):
+        system = CableVoDSystem(tiny_trace, config(strategy=LFUSpec()),
+                                engine=engine)
+        result = system.run()
+        media = system.media_server
+        assert media.meter.buckets() == result.server_meter.buckets()
+        assert media.total_bits() > 0
+        assert media.deliveries == result.counters.server_deliveries
