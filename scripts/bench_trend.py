@@ -36,6 +36,9 @@ RECORDED_METRICS = (
     ("end_to_end_columnar_s", ("end_to_end", "columnar_s")),
     ("cache_lfu_s", ("cache", "lfu_decisions_s")),
     ("cache_requests_s", ("cache", "index_requests_s")),
+    # Segment placement: the PlacementMap churn probe, the
+    # cache.placement layer on its own.
+    ("placement_churn_s", ("placement", "churn_s")),
     # Trace pipeline (PR 5): generator backends plus the sweep-worker
     # share hand-off.  The numpy entry is absent on pure-python hosts;
     # missing metrics are simply skipped.

@@ -15,8 +15,8 @@ rebuilt:
   index server's full request/fill path, both on the policy engine
   (PR 2), compared against the recorded PR-1 classic-path baseline;
 * segment placement -- ``PlacementMap`` admissions and evictions in the
-  churn-sweep shape, compared against the recorded heap-placement
-  baseline;
+  churn-sweep shape, compared against the recorded heap-placement and
+  level-FIFO (two-ledger) baselines;
 * end-to-end replay -- one full system run on each engine path (heap,
   bucket, and -- when numpy is importable -- columnar), with drain
   throughput reported as events/s per engine, and the bucket time
@@ -130,6 +130,24 @@ HEAP_PLACEMENT_REFERENCE = {
         "80 peers x 2 GB, 14-segment programs, evict the oldest then "
         "admit; measured alternating with the level-FIFO map, whose "
         "median on the same runs was 0.389 s"
+    ),
+}
+
+
+#: Placement baseline measured at the parent of the single storage
+#: ledger (bf4018a), where every box also kept a per-program byte
+#: ledger that ``PlacementMap`` filled through ``Counter`` plus
+#: ``reserve``/``release`` calls: the same ``placement_churn(20_000)``
+#: workload, median of 7 best-of-3 wall clocks alternated with the
+#: single-ledger map on a 2-vCPU Xeon host (Python 3.11.7).
+FIFO_PLACEMENT_REFERENCE = {
+    "commit": "bf4018a",
+    "admissions": 20_000,
+    "churn_s": 0.355,
+    "note": (
+        "80 peers x 2 GB, 14-segment programs, evict the oldest then "
+        "admit; measured alternating with the single-ledger map, whose "
+        "median on the same runs was 0.158 s"
     ),
 }
 
@@ -553,11 +571,15 @@ def main() -> int:
         "churn_s": round(placement_s, 4),
         "admissions_per_s": round(placement_n / placement_s),
         "heap_reference": HEAP_PLACEMENT_REFERENCE,
+        "fifo_reference": FIFO_PLACEMENT_REFERENCE,
     }
     if not args.quick:
-        # The reference was measured at the full workload size only.
+        # The references were measured at the full workload size only.
         report["placement"]["speedup_vs_heap"] = round(
             HEAP_PLACEMENT_REFERENCE["churn_s"] / placement_s, 2
+        )
+        report["placement"]["speedup_vs_fifo"] = round(
+            FIFO_PLACEMENT_REFERENCE["churn_s"] / placement_s, 2
         )
 
     # ---- end-to-end replay --------------------------------------------

@@ -35,7 +35,9 @@ policy engine:
   Entries left behind by a level change are skipped (moved to the
   peer's current level) when they reach a front, and count again if
   the peer returns.  A placement that does not fit fails before it
-  touches any peer.
+  touches any peer.  The map is the only storage ledger: it keeps each
+  peer's ``used_bytes`` at one segment per assigned slot, and boxes
+  keep no per-program record.
 * :mod:`repro.cache.index_server` -- the per-headend orchestrator that
   routes requests, fills segments from broadcasts, and applies
   membership changes to physical placement one batched decision at a

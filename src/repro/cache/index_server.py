@@ -191,11 +191,11 @@ class IndexServer:
         self._catalog = catalog
         #: program_id -> set of segment indices physically captured.
         self._stored: Dict[int, Set[int]] = {}
-        #: Per-program segment counts and lengths, flattened out of the
-        #: catalog once: the fill path would otherwise recompute
-        #: ``Program.num_segments`` (a divmod) per delivery.
-        self._segment_counts: List[int] = [p.num_segments for p in catalog]
-        self._lengths: List[float] = [p.length_seconds for p in catalog]
+        #: Per-program segment counts and lengths: the catalog's shared
+        #: tables, built once per catalog, not per neighborhood or (a
+        #: ``Program.num_segments`` divmod) per delivery.
+        self._segment_counts: List[int] = catalog.segment_counts
+        self._lengths: List[float] = catalog.lengths
         self.stats = IndexServerStats()
 
     @property
@@ -248,10 +248,10 @@ class IndexServer:
             self.stats.evictions += len(evicted)
         for program_id in change.admitted:
             try:
-                program = self._catalog[program_id]
-                self._placement.place_program(program)
+                count = self._segment_counts[program_id]
+                self._placement.place_program(self._catalog[program_id], count)
                 if self._strategy.instant_fill:
-                    self._stored[program_id] = set(range(program.num_segments))
+                    self._stored[program_id] = set(range(count))
                 else:
                     self._stored[program_id] = set()
                 self.stats.admissions += 1

@@ -24,10 +24,11 @@ fragmentation surprises mid-simulation.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import repeat
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import units
-from repro.errors import PlacementError
+from repro.errors import CapacityError, PlacementError
 from repro.peers.settop import SetTopBox
 from repro.trace.records import Program
 
@@ -82,14 +83,15 @@ class PlacementMap:
     have actually been captured off a broadcast yet is tracked separately
     by the index server; this map is purely *where they belong*.
 
-    The map owns its boxes' storage: every reservation on them goes
-    through it.  It counts each box's free whole-segment slots -- its
-    *level* -- and files the box in one FIFO per level.  Each segment
-    goes to the box at the front of the highest non-empty level, which
-    then drops one level and joins the back of that queue; a release
-    appends the box at the back of the level it rises to.  (For peers
-    with equal disks, as the simulator builds them, more free slots is
-    more free bytes.)
+    The map is the only storage ledger: it owns its boxes' storage and
+    keeps each box's :attr:`~repro.peers.settop.SetTopBox.used_bytes`
+    at one :func:`segment_bytes` per assigned slot.  It counts each
+    box's free whole-segment slots -- its *level* -- and files the box
+    in one FIFO per level.  Each segment goes to the box at the front
+    of the highest non-empty level, which then drops one level and joins
+    the back of that queue; a release appends the box at the back of the
+    level it rises to.  (For peers with equal disks, as the simulator
+    builds them, more free slots is more free bytes.)
 
     Queue entries are never withdrawn.  An entry whose level no longer
     matches its box is stale: when it reaches a front it moves to the
@@ -108,7 +110,7 @@ class PlacementMap:
             raise PlacementError("placement requires at least one peer")
         per_segment = segment_bytes()
         #: Per box: free whole-segment slots, which is also its level
-        #: (with SetTopBox.reserve's 1e-6 tolerance).
+        #: (with a 1e-6 byte tolerance for disks sized in segments).
         self._free: Dict[SetTopBox, int] = {
             box: int((box.free_bytes + 1e-6) // per_segment) for box in boxes
         }
@@ -160,12 +162,15 @@ class PlacementMap:
         """
         return self._assignments.get(program_id)
 
-    def place_program(self, program: Program) -> Tuple[SetTopBox, ...]:
+    def place_program(self, program: Program,
+                      num_segments: Optional[int] = None) -> Tuple[SetTopBox, ...]:
         """Assign every segment of ``program`` to a least-loaded peer.
 
         All-or-nothing: either every segment is reserved or the placement
-        fails with no side effects.  Each box reserves the bytes of all
-        the segments it takes in one call.
+        fails with no side effects.  Each chosen box is charged one
+        :func:`segment_bytes` as it takes a slot.  ``num_segments`` is
+        ``program.num_segments``, passed by callers that already hold it
+        (the index server reads it from the catalog's table).
 
         Raises
         ------
@@ -174,11 +179,13 @@ class PlacementMap:
             segment slots than it has segments (only possible when
             membership capacity accounting disagrees with physical
             capacity -- a caller bug).
+        CapacityError
+            If the map counts more free slots than its boxes have.
         """
         program_id = program.program_id
         if program_id in self._assignments:
             raise PlacementError(f"program {program_id} already placed")
-        needed = program.num_segments
+        needed = program.num_segments if num_segments is None else num_segments
         if needed > self._total_free:
             raise PlacementError(
                 f"program {program_id} needs {needed} segment slots, "
@@ -187,6 +194,7 @@ class PlacementMap:
         levels = self._levels
         free = self._free
         top = self._top
+        per_segment = segment_bytes()
         chosen: List[SetTopBox] = []
         for _ in range(needed):
             # Walk down past empty levels; the slot check above means a
@@ -195,6 +203,9 @@ class PlacementMap:
             while True:
                 if not queue:
                     top -= 1
+                    if top <= 0:
+                        raise CapacityError(f"program {program_id}: the map "
+                                            "counts slots no box has free")
                     queue = levels[top]
                     continue
                 box = queue.popleft()
@@ -204,12 +215,10 @@ class PlacementMap:
                 levels[level].append(box)  # stale: re-queue where it is
             free[box] = level - 1
             levels[level - 1].append(box)
+            box.used_bytes += per_segment
             chosen.append(box)
         self._top = top
         self._total_free -= needed
-        per_segment = segment_bytes()
-        for box, slots in Counter(chosen).items():
-            box.reserve(program_id, slots * per_segment)
         assignment = tuple(chosen)
         self._assignments[program_id] = assignment
         return assignment
@@ -231,22 +240,33 @@ class PlacementMap:
         assignment, so placement ties, and therefore every downstream
         delivery, are bit-identical to the serial calls.  Multi-victim
         admissions and oracle recomputes hit this with dozens of
-        programs per decision.
+        programs per decision.  A release that would drive a box's
+        ``used_bytes`` below zero raises :class:`CapacityError`.
         """
         assignments = self._assignments
         levels = self._levels
         free = self._free
         top = self._top
+        per_segment = segment_bytes()
         released = 0
         for program_id in program_ids:
             assignment = assignments.pop(program_id, None)
             if assignment is None:
                 continue
-            # Counter keeps first-appearance order, so boxes rejoin
-            # their levels in assignment order on every run.
-            for box, slots in Counter(assignment).items():
-                box.release(program_id)
-                released += slots
+            released += len(assignment)
+            # Distinct boxes take one slot each.  Otherwise Counter keeps
+            # first-appearance order, so boxes rejoin their levels in
+            # assignment order on every run.
+            box_slots: Iterable[Tuple[SetTopBox, int]] = (
+                zip(assignment, repeat(1))
+                if len(set(assignment)) == len(assignment)
+                else Counter(assignment).items())
+            for box, slots in box_slots:
+                used = box.used_bytes - slots * per_segment
+                if used < 0:
+                    raise CapacityError(f"box {box.box_id}: negative used "
+                                        f"bytes releasing {program_id}")
+                box.used_bytes = used
                 level = free[box] + slots
                 free[box] = level
                 levels[level].append(box)

@@ -28,7 +28,7 @@ from repro.cache.factory import BuildInputs
 from repro.errors import SimulationError
 from repro.cache import index_server as idx
 from repro.cache.index_server import IndexServer
-from repro.cache.segments import PlacementMap, cache_footprint_bytes, usable_capacity_bytes
+from repro.cache.segments import PlacementMap, segment_bytes, usable_capacity_bytes
 from repro.core.config import SimulationConfig
 from repro.core.media_server import MediaServer
 from repro.core.meter import HourlyMeter, accumulate_rows, expand_intervals
@@ -126,10 +126,13 @@ class CableVoDSystem:
         #: global id order -- the fold below depends on it.
         self._selected = selected
 
-        footprints = [cache_footprint_bytes(p) for p in catalog]
-        #: program_id -> final segment index, hoisted out of the per-
-        #: session path (Program.num_segments recomputes a divmod).
-        self._last_segment: List[int] = [p.num_segments - 1 for p in catalog]
+        # The catalog's shared table; each footprint equals the float
+        # cache_footprint_bytes() returns.
+        counts = catalog.segment_counts
+        per_segment = segment_bytes()
+        footprints = [count * per_segment for count in counts]
+        #: program_id -> final segment index, for the per-session path.
+        self._last_segment: List[int] = [count - 1 for count in counts]
 
         #: user id -> *local* index into the selected neighborhoods
         #: (-1 outside this shard; such users never appear in a shard's

@@ -10,6 +10,11 @@ Paper constraints (section V-C):
   segment is requested from a peer that has more than two active streams
   in either direction."
 
+A box records only its bytes in use; the index server "keeps track of
+where each program is located" (section IV-B.1), so the
+:class:`~repro.cache.segments.PlacementMap` that owns a box's storage
+keeps :attr:`SetTopBox.used_bytes` current and checks its capacity.
+
 Stream occupancy is tracked as a list of lease end-times purged lazily
 against the querying clock -- cheaper than scheduling a release event per
 segment, and exact, because occupancy only matters at the instant a new
@@ -18,18 +23,10 @@ request arrives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro import units
 from repro.errors import CapacityError
-
-
-@dataclass(frozen=True)
-class StreamLease:
-    """A claim on one of the box's logical channels until ``end_time``."""
-
-    end_time: float
 
 
 class SetTopBox:
@@ -46,8 +43,8 @@ class SetTopBox:
         Concurrent logical channels (default 2, per the paper).
     """
 
-    __slots__ = ("box_id", "storage_bytes", "max_streams", "_used_bytes",
-                 "_stored", "_lease_ends")
+    __slots__ = ("box_id", "storage_bytes", "max_streams", "used_bytes",
+                 "_lease_ends")
 
     def __init__(
         self,
@@ -66,9 +63,9 @@ class SetTopBox:
         self.box_id = box_id
         self.storage_bytes = float(storage_bytes)
         self.max_streams = int(max_streams)
-        self._used_bytes = 0.0
-        #: program_id -> bytes reserved on this box for that program.
-        self._stored: Dict[int, float] = {}
+        #: Disk bytes holding cached segments: one whole segment per
+        #: slot assigned by the owning placement map, its only writer.
+        self.used_bytes: float = 0.0
         self._lease_ends: List[float] = []
 
     # ------------------------------------------------------------------
@@ -76,51 +73,9 @@ class SetTopBox:
     # ------------------------------------------------------------------
 
     @property
-    def used_bytes(self) -> float:
-        """Bytes currently reserved on this box."""
-        return self._used_bytes
-
-    @property
     def free_bytes(self) -> float:
         """Remaining contributable disk space."""
-        return self.storage_bytes - self._used_bytes
-
-    def stored_bytes_for(self, program_id: int) -> float:
-        """Bytes this box holds for ``program_id`` (0.0 if none)."""
-        return self._stored.get(program_id, 0.0)
-
-    def reserve(self, program_id: int, n_bytes: float) -> None:
-        """Reserve ``n_bytes`` for segments of ``program_id``.
-
-        Raises
-        ------
-        CapacityError
-            If the reservation would exceed the contributed disk space.
-            The index server must never over-commit a peer; treating it
-            as an error (rather than clamping) surfaces placement bugs.
-        """
-        if n_bytes <= 0:
-            raise CapacityError(
-                f"box {self.box_id}: reservation must be positive, got {n_bytes}"
-            )
-        if n_bytes > self.free_bytes + 1e-6:
-            raise CapacityError(
-                f"box {self.box_id}: cannot reserve {n_bytes:.0f} B with only "
-                f"{self.free_bytes:.0f} B free of {self.storage_bytes:.0f} B"
-            )
-        self._used_bytes += n_bytes
-        self._stored[program_id] = self._stored.get(program_id, 0.0) + n_bytes
-
-    def release(self, program_id: int) -> float:
-        """Free everything stored for ``program_id``; returns bytes freed."""
-        freed = self._stored.pop(program_id, 0.0)
-        self._used_bytes -= freed
-        if self._used_bytes < 0:  # pragma: no cover - accounting invariant
-            raise CapacityError(
-                f"box {self.box_id}: negative used bytes after releasing "
-                f"program {program_id}"
-            )
-        return freed
+        return self.storage_bytes - self.used_bytes
 
     # ------------------------------------------------------------------
     # Stream (channel) accounting
@@ -186,9 +141,7 @@ class SetTopBox:
                     enforce_limit: bool = True) -> float:
         """Occupy one channel for ``duration_seconds`` starting at ``now``.
 
-        Returns the lease end time.  (Callers never retained the old
-        :class:`StreamLease` wrapper, and allocating one per delivery
-        showed up in profiles.)
+        Returns the lease end time.
 
         Parameters
         ----------
@@ -214,6 +167,6 @@ class SetTopBox:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"SetTopBox(id={self.box_id}, used={self._used_bytes / 1e9:.2f}GB"
+            f"SetTopBox(id={self.box_id}, used={self.used_bytes / 1e9:.2f}GB"
             f"/{self.storage_bytes / 1e9:.0f}GB, leases={len(self._lease_ends)})"
         )

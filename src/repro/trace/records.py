@@ -66,7 +66,8 @@ class Catalog:
 
     Program ids must be dense (``0..n-1``) so that popularity arrays can
     be plain lists; the synthetic generator and the scaling transforms
-    both guarantee this.
+    both guarantee this, and it makes :attr:`segment_counts` and
+    :attr:`lengths` per-id tables.
     """
 
     def __init__(self, programs: Sequence[Program]) -> None:
@@ -77,6 +78,8 @@ class Catalog:
                     f"catalog requires dense ids: position {index} holds "
                     f"program_id {program.program_id}"
                 )
+        self._segment_counts: Optional[List[int]] = None
+        self._lengths: Optional[List[float]] = None
 
     def __len__(self) -> int:
         return len(self._programs)
@@ -99,6 +102,23 @@ class Catalog:
     def programs(self) -> Tuple[Program, ...]:
         """All programs in id order (defensive tuple copy)."""
         return tuple(self._programs)
+
+    @property
+    def segment_counts(self) -> List[int]:
+        """``Program.num_segments`` by program id, built on first use.
+
+        Read-only: every system and index server on the catalog shares it.
+        """
+        if self._segment_counts is None:
+            self._segment_counts = [p.num_segments for p in self._programs]
+        return self._segment_counts
+
+    @property
+    def lengths(self) -> List[float]:
+        """``Program.length_seconds`` by program id (read-only; do not mutate)."""
+        if self._lengths is None:
+            self._lengths = [p.length_seconds for p in self._programs]
+        return self._lengths
 
     def total_size_bytes(self) -> float:
         """Combined storage footprint of the whole catalog."""

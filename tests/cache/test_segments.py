@@ -12,7 +12,7 @@ from repro.cache.segments import (
     segment_play_seconds,
     usable_capacity_bytes,
 )
-from repro.errors import PlacementError
+from repro.errors import CapacityError, PlacementError
 from repro.peers.settop import SetTopBox
 from repro.trace.records import Program
 
@@ -190,3 +190,85 @@ class TestFailedPlacementHasNoSideEffects:
                     == [b.used_bytes for b in twin_boxes]), seed
             placed[pid] = segments
             free -= segments
+
+
+class TestStorageLedger:
+    """The map is the only storage ledger: box bytes follow its slots."""
+
+    #: The golden-digest storage families: the paper's 10 GB ceiling,
+    #: the small-storage churn shape, and a disk ending in a partial slot.
+    STORAGES = (10e9, 2e9, 2.5 * segment_bytes())
+
+    @staticmethod
+    def assert_ledger(placement, boxes, placed):
+        seg = segment_bytes()
+        slots = dict.fromkeys(boxes, 0)
+        for pid in placed:
+            for box in placement.holders(pid):
+                slots[box] += 1
+        for box in boxes:
+            assert box.used_bytes == slots[box] * seg
+            assert 0.0 <= box.used_bytes <= box.storage_bytes
+            assert placement._free[box] == int((box.free_bytes + 1e-6) // seg)
+        assert sum(placement._free.values()) == placement._total_free
+
+    @pytest.mark.parametrize("storage", STORAGES, ids=("10GB", "2GB", "2.5seg"))
+    def test_random_place_remove_sequences_keep_the_ledger(self, storage):
+        repeated = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            boxes = [SetTopBox(i, storage_bytes=storage)
+                     for i in range(rng.randint(1, 6))]
+            placement = PlacementMap(boxes)
+            free = placement._total_free
+            placed = {}
+            for pid in range(80):
+                if placed and rng.random() < 0.35:
+                    victims = rng.sample(sorted(placed),
+                                         rng.randint(1, min(3, len(placed))))
+                    victims.append(10_000 + pid)  # unplaced: a no-op
+                    placement.remove_programs(victims)
+                    for victim in victims[:-1]:
+                        free += placed.pop(victim)
+                elif rng.random() < 0.2:
+                    with pytest.raises(PlacementError):
+                        placement.place_program(
+                            Program(pid, (free + 1) * 300.0))
+                elif free:
+                    segments = rng.randint(1, min(free, 40))
+                    partial = rng.choice((0.0, 120.0))
+                    assignment = placement.place_program(
+                        Program(pid, segments * 300.0 - partial))
+                    repeated += len(set(assignment)) < len(assignment)
+                    placed[pid] = segments
+                    free -= segments
+                self.assert_ledger(placement, boxes, placed)
+        assert repeated  # the multi-slot path ran
+
+    def test_repeated_box_place_and_remove(self):
+        boxes = boxes_with_segments(2, 4)
+        placement = PlacementMap(boxes)
+        first = placement.place_program(Program(0, 900.0))  # 3 segments
+        second = placement.place_program(Program(1, 1500.0))  # 5 segments
+        assert [box.box_id for box in first] == [0, 1, 0]
+        assert [box.box_id for box in second] == [1, 0, 1, 0, 1]
+        self.assert_ledger(placement, boxes, (0, 1))
+        placement.remove_program(1)
+        self.assert_ledger(placement, boxes, (0,))
+        assert [box.used_bytes for box in boxes] == [
+            2 * segment_bytes(), segment_bytes()]
+        # Box 1 rose to level 3 and box 0 to level 2: the next program
+        # starts on box 1, which then queues behind box 0 at level 2.
+        third = placement.place_program(Program(2, 1500.0))
+        assert [box.box_id for box in third] == [1, 0, 1, 0, 1]
+        placement.remove_programs((0, 2))
+        assert all(box.used_bytes == 0.0 for box in boxes)
+        self.assert_ledger(placement, boxes, ())
+
+    def test_release_below_zero_bytes_raises(self):
+        box = SetTopBox(0, storage_bytes=2 * segment_bytes())
+        placement = PlacementMap([box])
+        placement.place_program(Program(0, 600.0))
+        box.used_bytes = segment_bytes()  # written behind the map's back
+        with pytest.raises(CapacityError):
+            placement.remove_program(0)

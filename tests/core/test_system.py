@@ -214,3 +214,33 @@ class TestMediaServerMeter:
         assert media.meter.buckets() == result.server_meter.buckets()
         assert media.total_bits() > 0
         assert media.deliveries == result.counters.server_deliveries
+
+
+class TestCatalogTables:
+    """Segment counts are computed once per catalog, not per neighborhood."""
+
+    def test_multi_neighborhood_builds_count_each_program_once(
+            self, monkeypatch):
+        from repro.trace.synthetic import PowerInfoModel
+
+        model = PowerInfoModel(n_users=600, n_programs=50, days=2.0, seed=5)
+        stream = open_trace_stream(model)
+        catalog = Catalog(stream.catalog.programs)  # no table built yet
+        calls = []
+        real = Program.num_segments
+
+        def counting(program):
+            calls.append(program.program_id)
+            return real.fget(program)
+
+        monkeypatch.setattr(Program, "num_segments", property(counting))
+        cfg = config(neighborhood_size=60, strategy=LFUSpec())
+        system = CableVoDSystem(None, cfg, catalog=catalog,
+                                n_users=stream.n_users)
+        assert len(system._servers) == 10
+        for group in ([0, 1, 2], [3, 4, 5, 6], [7, 8, 9]):  # shard-shaped
+            CableVoDSystem(None, cfg, catalog=catalog, n_users=stream.n_users,
+                           neighborhood_ids=group)
+        result = system.run_streaming(open_trace_stream(model).chunks())
+        assert result.counters.admissions > 0
+        assert sorted(calls) == list(range(len(catalog)))

@@ -3,8 +3,12 @@
 import pytest
 
 from repro import units
-from repro.errors import CapacityError
+from repro.cache.segments import PlacementMap, segment_bytes
+from repro.errors import CapacityError, PlacementError
 from repro.peers.settop import SetTopBox
+from repro.trace.records import Program
+
+SEG = segment_bytes()
 
 
 class TestConstruction:
@@ -23,45 +27,59 @@ class TestConstruction:
 
 
 class TestStorage:
+    """Disk accounting, kept by the placement map that owns the box."""
+
+    @staticmethod
+    def owned_box(segments):
+        box = SetTopBox(0, storage_bytes=segments * SEG)
+        return box, PlacementMap([box])
+
     def test_reserve_and_free_accounting(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(7, 400.0)
-        assert box.used_bytes == 400.0
-        assert box.free_bytes == 600.0
-        assert box.stored_bytes_for(7) == 400.0
+        box, placement = self.owned_box(3)
+        placement.place_program(Program(7, 300.0))
+        assert box.used_bytes == SEG
+        assert box.free_bytes == 2 * SEG
 
     def test_multiple_reservations_same_program_accumulate(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(7, 300.0)
-        box.reserve(7, 300.0)
-        assert box.stored_bytes_for(7) == 600.0
+        box, placement = self.owned_box(3)
+        placement.place_program(Program(7, 600.0))  # two slots, one box
+        assert box.used_bytes == 2 * SEG
 
     def test_release_frees_everything_for_program(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(7, 300.0)
-        box.reserve(8, 200.0)
-        assert box.release(7) == 300.0
-        assert box.used_bytes == 200.0
-        assert box.stored_bytes_for(7) == 0.0
+        box, placement = self.owned_box(3)
+        placement.place_program(Program(7, 600.0))
+        placement.place_program(Program(8, 300.0))
+        placement.remove_program(7)
+        assert box.used_bytes == SEG
+        assert not placement.is_placed(7)
 
     def test_release_unknown_program_is_noop(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        assert box.release(99) == 0.0
+        box, placement = self.owned_box(3)
+        placement.place_program(Program(7, 300.0))
+        placement.remove_program(99)
+        assert box.used_bytes == SEG
 
     def test_overcommit_rejected(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(1, 900.0)
-        with pytest.raises(CapacityError):
-            box.reserve(2, 200.0)
+        box, placement = self.owned_box(3)
+        placement.place_program(Program(1, 600.0))
+        with pytest.raises(PlacementError):
+            placement.place_program(Program(2, 600.0))
+        assert box.used_bytes == 2 * SEG
 
     def test_exact_fill_allowed(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(1, 1000.0)
+        box, placement = self.owned_box(3)
+        placement.place_program(Program(1, 900.0))
         assert box.free_bytes == 0.0
 
-    def test_nonpositive_reservation_rejected(self):
+    def test_full_box_is_never_charged(self):
+        # A slot count that disagrees with the box raises instead of
+        # charging bytes the disk does not have.
+        box, placement = self.owned_box(1)
+        placement.place_program(Program(1, 300.0))
+        placement._total_free += 1
         with pytest.raises(CapacityError):
-            SetTopBox(0).reserve(1, 0.0)
+            placement.place_program(Program(2, 300.0))
+        assert box.free_bytes == 0.0
 
 
 class TestStreams:
