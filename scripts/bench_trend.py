@@ -52,6 +52,10 @@ RECORDED_METRICS = (
     # skipped as usual.
     ("memory_materialized_rss_mb", ("memory", "materialized_peak_rss_mb")),
     ("memory_streamed_rss_mb", ("memory", "streamed_peak_rss_mb")),
+    # Columnar peak RSS: the same monolithic replay on the windowed
+    # columnar schedule.  Absent on pure-python hosts; recorded, not
+    # gated.
+    ("memory_columnar_rss_mb", ("memory", "columnar_peak_rss_mb")),
     ("metro_wall_s", ("metro", "wall_s")),
     ("metro_peak_rss_mb", ("metro", "peak_rss_mb")),
 )

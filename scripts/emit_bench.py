@@ -170,9 +170,27 @@ INLINE_METER_REFERENCE = {
 }
 
 
+#: Columnar peak RSS measured at the parent of the windowed schedule
+#: (46aa313), where the columnar engine built and held the whole run's
+#: event schedule: the memory section's columnar probe on the fast
+#: profile, read through the ``VmHWM`` probe, three runs alternated
+#: with the windowed code on a 2-vCPU Xeon host (Python 3.11.7).
+WHOLE_SCHEDULE_RSS_REFERENCE = {
+    "commit": "46aa313",
+    "columnar_peak_rss_mb": 154.7,
+    "note": (
+        "fast profile, engine='columnar', fresh interpreter; the "
+        "windowed schedule measured 89.3 MB on the same runs"
+    ),
+}
+
+
 #: Child-interpreter scaffold for the RSS probes.  The body must define
 #: ``run() -> dict``; the scaffold times it and reports the process
-#: peak RSS (self + pool children, KB on Linux) as one JSON line.
+#: peak RSS (self + pool children, KB on Linux) as one JSON line.  The
+#: probe's own peak is ``VmHWM``: on Linux ``ru_maxrss`` survives
+#: ``execve``, so it would start at the spawning process's high-water
+#: mark.  ``ru_maxrss`` is the fallback where ``/proc`` is absent.
 _PROBE_TEMPLATE = """\
 import json, resource, sys, time
 sys.path.insert(0, {src_path!r})
@@ -180,7 +198,12 @@ sys.path.insert(0, {src_path!r})
 started = time.perf_counter()
 extra = run()
 wall = time.perf_counter() - started
-self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with open('/proc/self/status') as status:
+        self_kb = next(int(line.split()[1]) for line in status
+                       if line.startswith('VmHWM:'))
+except (OSError, StopIteration):
+    self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(json.dumps(dict(extra, wall_s=round(wall, 3),
                       peak_rss_mb=round(max(self_kb, child_kb) / 1024.0, 1))))
@@ -190,9 +213,10 @@ print(json.dumps(dict(extra, wall_s=round(wall, 3),
 def rss_probe(body: str) -> dict:
     """Run one workload in a fresh interpreter; return its RSS report.
 
-    ``ru_maxrss`` is a lifetime high-water mark, so a probe that shared
-    this process would inherit every earlier section's footprint; a
-    fresh child measures only its own workload.  ``RUSAGE_CHILDREN``
+    Peak RSS is a lifetime high-water mark, so a probe that shared this
+    process would inherit every earlier section's footprint; a fresh
+    child measures only its own workload (its ``VmHWM``, see
+    ``_PROBE_TEMPLATE``).  ``RUSAGE_CHILDREN``
     folds in pool workers (their RSS peaks after they exit, which is
     when the kernel rolls them into the parent's children counter).
     """
@@ -206,12 +230,13 @@ def rss_probe(body: str) -> dict:
 
 
 def _memory_bodies(quick: bool, users: int, days: float):
-    """The materialized-vs-streamed probe bodies for the memory section.
+    """The probe bodies for the memory section.
 
     Full mode probes the fast experiment profile (the suite's standard
     operating point); quick mode reuses the small end-to-end model so
     CI stays fast.  Both compare one monolithic materialized bucket
-    replay against the same workload streamed through sharded replay.
+    replay against the same workload streamed through sharded replay,
+    and probe the monolithic replay on the columnar engine.
     """
     if quick:
         prologue = (
@@ -233,14 +258,14 @@ def _memory_bodies(quick: bool, users: int, days: float):
             "warmup_days=FAST.warmup_days)\n"
         )
         n_shards = 4
-    materialized = prologue + (
+    materialized, columnar = (prologue + (
         "def run():\n"
         "    from repro.core.runner import run_simulation\n"
         "    from repro.trace.synthetic import generate_trace\n"
         "    trace = generate_trace(model)\n"
-        "    result = run_simulation(trace, config, engine='bucket')\n"
+        f"    result = run_simulation(trace, config, engine={engine!r})\n"
         "    return {'sessions': result.counters.sessions}\n"
-    )
+    ) for engine in ("bucket", "columnar"))
     streamed = prologue + (
         "def run():\n"
         "    from repro.core.shard import run_sharded\n"
@@ -248,7 +273,7 @@ def _memory_bodies(quick: bool, users: int, days: float):
         "streaming=True, workers=1)\n"
         "    return {'sessions': result.counters.sessions}\n"
     )
-    return materialized, streamed, n_shards
+    return materialized, streamed, columnar, n_shards
 
 
 def _metro_body(users: int, programs: int, days: float,
@@ -741,8 +766,8 @@ def main() -> int:
     # ---- peak RSS: materialized vs. streamed ---------------------------
     # Fresh interpreter per probe (see rss_probe); the streamed number
     # is the one the streaming pipeline exists to bound.
-    materialized_body, streamed_body, mem_shards = _memory_bodies(
-        args.quick, users, days)
+    materialized_body, streamed_body, columnar_body, mem_shards = (
+        _memory_bodies(args.quick, users, days))
     materialized_probe = rss_probe(materialized_body)
     streamed_probe = rss_probe(streamed_body)
     report["memory"] = {
@@ -754,12 +779,21 @@ def main() -> int:
         "streamed_peak_rss_mb": streamed_probe["peak_rss_mb"],
         "streamed_wall_s": streamed_probe["wall_s"],
         "note": (
-            "peak RSS (ru_maxrss, self+children) of one replay in a "
-            "fresh interpreter: monolithic on the materialized trace "
-            "vs. sharded streaming replay of the identical workload "
+            "peak RSS (the probe's VmHWM, or ru_maxrss off Linux, and "
+            "its pool children's ru_maxrss) of one replay in a fresh "
+            "interpreter: monolithic on the materialized trace vs. "
+            "sharded streaming replay of the identical workload "
             "(bit-identical results; the equivalence suite pins it)"
         ),
     }
+    if columnar_supported():
+        columnar_probe = rss_probe(columnar_body)
+        report["memory"]["columnar_peak_rss_mb"] = (
+            columnar_probe["peak_rss_mb"])
+        report["memory"]["columnar_wall_s"] = columnar_probe["wall_s"]
+        if not args.quick:
+            report["memory"]["whole_schedule_reference"] = (
+                WHOLE_SCHEDULE_RSS_REFERENCE)
 
     # ---- metro: million-user streamed replay ---------------------------
     if args.metro:

@@ -20,7 +20,7 @@ physical placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import units
 from repro.cache.base import CacheStrategy, MembershipChange
@@ -189,8 +189,12 @@ class IndexServer:
         self._strategy = strategy
         self._placement = placement
         self._catalog = catalog
-        #: program_id -> set of segment indices physically captured.
-        self._stored: Dict[int, Set[int]] = {}
+        #: program_id -> (holder per segment, captured flag per segment)
+        #: for every placed program.  Membership <=> placement: every
+        #: membership change goes through ``_apply_change``, which adds
+        #: an entry per placed admission and pops one per eviction, and a
+        #: failed placement is force-evicted with no entry.
+        self._stored: Dict[int, Tuple[Tuple[SetTopBox, ...], bytearray]] = {}
         #: Per-program segment counts and lengths: the catalog's shared
         #: tables, built once per catalog, not per neighborhood or (a
         #: ``Program.num_segments`` divmod) per delivery.
@@ -249,11 +253,10 @@ class IndexServer:
         for program_id in change.admitted:
             try:
                 count = self._segment_counts[program_id]
-                self._placement.place_program(self._catalog[program_id], count)
-                if self._strategy.instant_fill:
-                    self._stored[program_id] = set(range(count))
-                else:
-                    self._stored[program_id] = set()
+                assignment = self._placement.place_program(
+                    self._catalog[program_id], count)
+                self._stored[program_id] = (assignment, bytearray(
+                    b"\x01" * count if self._strategy.instant_fill else count))
                 self.stats.admissions += 1
             except PlacementError:
                 # Physical placement refused (can only happen if a caller
@@ -291,7 +294,7 @@ class IndexServer:
         self.stats.add_outcomes(counts)
         if code >= CODE_BUSY:
             return _SERVER_OUTCOMES[code - CODE_BUSY]
-        holder = self._placement.holders(program_id)[segment_index]
+        holder = self._stored[program_id][0][segment_index]
         return DeliveryOutcome(SOURCE_OF_CODE[code], serving_box=holder.box_id)
 
     def request_segment_code(
@@ -304,26 +307,27 @@ class IndexServer:
     ) -> int:
         """Serve one segment request, returning one ``CODE_*`` integer.
 
-        Performs every state change of a delivery -- channel leases,
-        fill captures, membership-set bookkeeping -- but bumps **no**
-        stats: the engines log one code per delivery and derive every
-        counter from the codes in batches (``IndexServerStats.add_outcomes``).
+        Performs every state change of a delivery -- channel leases and
+        fill captures -- but bumps **no** stats: the engines log one
+        code per delivery and derive every counter from the codes in
+        batches (``IndexServerStats.add_outcomes``).
 
-        A cached segment is a hit (the viewer's own disk, or a holder
+        One dict lookup routes the request: a program has a captured
+        entry exactly when it is a placed member (membership <=>
+        placement, see ``_stored``), so no entry is a plain miss.  A
+        captured segment is a hit (the viewer's own disk, or a holder
         with a free channel) or a busy miss.  Otherwise the central
         server broadcasts it (Fig 4), and the program's assigned peer
-        captures the broadcast only when the program is an admitted
-        member, the viewer will watch the *whole* segment (a partial
-        broadcast is a partial, unusable copy), and the peer has a free
-        channel to tune to it.
+        captures the broadcast only when the viewer will watch the
+        *whole* segment (a partial broadcast is a partial, unusable
+        copy) and the peer has a free channel to tune to it.
         """
-        stored = self._stored.get(program_id)
-        if stored is not None and segment_index in stored:
-            assignment = self._placement.holders(program_id)
-        else:
-            assignment = None
-
-        if assignment is not None:
+        entry = self._stored.get(program_id)
+        if entry is None:
+            # Not placed, so not a member: nothing can hit or fill.
+            return CODE_MISS
+        assignment, captured = entry
+        if captured[segment_index]:
             holder = assignment[segment_index]
             if holder.box_id == user_id:
                 # The viewer's own disk: no broadcast, no channel use.
@@ -333,14 +337,6 @@ class IndexServer:
             # Holder saturated: the paper's rule is that this *is* a miss.
             return CODE_BUSY
 
-        if program_id not in self._strategy:
-            return CODE_MISS
-        assignment = self._placement.holders(program_id)
-        if assignment is None:
-            return CODE_MISS
-        stored = self._stored.setdefault(program_id, set())
-        if segment_index in stored:  # pragma: no cover - guarded above
-            return CODE_MISS
         # Inlined segment_play_seconds(): every segment holds a full
         # SEGMENT_SECONDS except the last, which holds the remainder --
         # same floats, minus a catalog lookup and divmod per delivery.
@@ -354,7 +350,7 @@ class IndexServer:
         box = assignment[segment_index]
         if not box.try_open_stream(now, watch_seconds):
             return CODE_MISS_FILL_SKIP
-        stored.add(segment_index)
+        captured[segment_index] = 1
         return CODE_MISS_FILLED
 
     # ------------------------------------------------------------------
@@ -363,7 +359,8 @@ class IndexServer:
 
     def stored_segment_count(self, program_id: int) -> int:
         """Segments of ``program_id`` physically captured so far."""
-        return len(self._stored.get(program_id, ()))
+        entry = self._stored.get(program_id)
+        return 0 if entry is None else entry[1].count(1)
 
     def cached_programs(self) -> Set[int]:
         """Programs currently admitted by the strategy."""

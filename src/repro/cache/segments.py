@@ -156,9 +156,8 @@ class PlacementMap:
     def holders(self, program_id: int) -> Optional[Tuple[SetTopBox, ...]]:
         """Per-segment peer assignment tuple, or ``None`` if not placed.
 
-        The hot-path combination of :meth:`is_placed` + :meth:`holder_of`
-        as a single dict lookup with no range check -- callers index the
-        returned tuple with segment indices they already validated.
+        The tuple :meth:`place_program` returned; index servers keep it
+        beside their captured flags instead of calling this per request.
         """
         return self._assignments.get(program_id)
 

@@ -39,8 +39,8 @@ from repro.topology.placement import shared_plant
 from repro.trace.records import SessionRecord, Trace
 
 
-#: Engine selectors: ``"columnar"`` precomputes the whole event stream
-#: as numpy arrays (the fast path when numpy is available);
+#: Engine selectors: ``"columnar"`` precomputes the event stream as
+#: numpy arrays, window by window (the fast path with numpy);
 #: ``"bucket"`` replays sessions as tick-bucketed arcs (the scalar
 #: reference and the fallback); ``"heap"`` is the
 #: legacy one-heap-event-per-segment chain, kept for equivalence
@@ -754,29 +754,27 @@ class CableVoDSystem:
     # ------------------------------------------------------------------
 
     def _run_columnar(self) -> int:
-        """Replay the trace over its precomputed columnar schedule.
+        """Replay the trace over its columnar schedule, window by window.
 
-        The schedule (:mod:`repro.sim.columnar`) already encodes every
-        event the drain loop would fire, in the engine's exact firing
-        order, so no event queue runs at all.  The walk below performs
-        only the *stateful* per-event work -- strategy decisions via
-        ``on_session_start``, channel leases, and the cache/placement
-        mutations inside ``request_segment_code`` -- and collects one
-        outcome code per delivery.  Everything derivable from the code
-        stream (per-neighborhood hit/miss counters, every hourly meter
-        bucket, server deliveries) is then computed by :meth:`_fold`,
-        the same fold the scalar engines run over their delivery log,
-        keeping the engine bit-for-bit equal to ``bucket``/``heap``
-        (tests/core/test_engine_equivalence.py).
+        :func:`~repro.sim.columnar.build_schedule` yields every event
+        the drain loop would fire, in the engine's exact firing order,
+        one window of ``WINDOW_TICKS`` tick buckets at a time, so no
+        event queue runs and one window of events is resident.  The
+        walk performs only the *stateful* per-event work -- strategy
+        decisions via ``on_session_start``, channel leases, and the
+        cache/placement mutations inside ``request_segment_code`` -- and
+        collects one outcome code per delivery.  Everything derivable
+        from the code stream (per-neighborhood hit/miss counters, every
+        hourly meter bucket, server deliveries) is then computed by
+        :meth:`_fold` once per window, the same fold the scalar engines
+        run over their delivery log, keeping the engine bit-for-bit
+        equal to ``bucket``/``heap`` (tests/core/test_engine_equivalence.py).
         """
         import numpy as np
 
-        from repro.sim.columnar import cached_schedule
+        from repro.sim.columnar import build_schedule
 
         trace = self._trace
-        schedule = cached_schedule(trace, self._last_segment)
-        if schedule.n_events == 0:
-            return 0
         starts, user_ids, program_ids, durations = trace.columns()
 
         # Per-record derived columns: neighborhood of the requesting
@@ -787,13 +785,6 @@ class CableVoDSystem:
                                  dtype=np.int64)[user_col]
         lease_ends = (np.asarray(starts, dtype=np.float64)
                       + np.asarray(durations, dtype=np.float64)).tolist()
-        event_nbhd = record_nbhd[schedule.rec]
-
-        # Walk op per event: 0 = session start delivering segment 0,
-        # 1 = session start whose first segment is float noise (session
-        # bookkeeping only), 2 = arc delivery.
-        op = np.where(schedule.is_start,
-                      np.where(schedule.delivered, 0, 1), 2)
 
         # Bound-method and plain-list lookups hoisted out of the loop;
         # .tolist() because iterating numpy arrays yields numpy scalars,
@@ -805,32 +796,45 @@ class CableVoDSystem:
             for user_id, box in boxes.items():
                 lease_of_user[user_id] = box.grant_playback_lease
         feed = self._feed
-        codes: List[int] = []
-        append_code = codes.append
+        events = 0
 
-        for kind, now, watch, rec, nbhd, segment in zip(
-            op.tolist(), schedule.time.tolist(), schedule.watch.tolist(),
-            schedule.rec.tolist(), event_nbhd.tolist(),
-            schedule.segment.tolist(),
-        ):
-            if kind == 2:
-                append_code(request_code[nbhd](
-                    now, user_ids[rec], program_ids[rec], segment, watch
-                ))
-            else:
-                user_id = user_ids[rec]
-                program_id = program_ids[rec]
-                if feed is not None:
-                    feed.record(now, program_id, nbhd)
-                session_starts[nbhd](now, user_id, program_id)
-                lease_of_user[user_id](lease_ends[rec])
-                if kind == 0:
+        for schedule in build_schedule(starts, durations, program_ids,
+                                       self._last_segment):
+            events += schedule.n_events
+            event_nbhd = record_nbhd[schedule.rec]
+            # Walk op per event: 0 = session start delivering segment 0,
+            # 1 = session start whose first segment is float noise
+            # (session bookkeeping only), 2 = arc delivery.
+            op = np.where(schedule.is_start,
+                          np.where(schedule.delivered, 0, 1), 2)
+            codes: List[int] = []
+            append_code = codes.append
+
+            for kind, now, watch, rec, nbhd, segment in zip(
+                op.tolist(), schedule.time.tolist(), schedule.watch.tolist(),
+                schedule.rec.tolist(), event_nbhd.tolist(),
+                schedule.segment.tolist(),
+            ):
+                if kind == 2:
                     append_code(request_code[nbhd](
-                        now, user_id, program_id, 0, watch
+                        now, user_ids[rec], program_ids[rec], segment, watch
                     ))
+                else:
+                    user_id = user_ids[rec]
+                    program_id = program_ids[rec]
+                    if feed is not None:
+                        feed.record(now, program_id, nbhd)
+                    session_starts[nbhd](now, user_id, program_id)
+                    lease_of_user[user_id](lease_ends[rec])
+                    if kind == 0:
+                        append_code(request_code[nbhd](
+                            now, user_id, program_id, 0, watch
+                        ))
 
-        delivered = schedule.delivered
-        self._fold(event_nbhd[delivered], np.asarray(codes, dtype=np.int64),
-                   expand_intervals(schedule.time[delivered],
-                                    schedule.watch[delivered]))
-        return schedule.n_events
+            if codes:
+                delivered = schedule.delivered
+                self._fold(event_nbhd[delivered],
+                           np.asarray(codes, dtype=np.int64),
+                           expand_intervals(schedule.time[delivered],
+                                            schedule.watch[delivered]))
+        return events

@@ -30,11 +30,11 @@ Design notes
   window and stop.
 * When the whole event schedule is *static* -- nothing cancels or
   reschedules anything, as in trace replay -- the drain loop itself can
-  be skipped: :mod:`repro.sim.columnar` precomputes the entire
-  ``(time, seq)``-ordered event stream as flat arrays (including the
-  exact sequence numbers this engine's shared counter would assign),
-  which is what ``engine="columnar"`` walks instead of running this
-  loop.  The ordering contract documented here is therefore load-
+  be skipped: :mod:`repro.sim.columnar` precomputes the
+  ``(time, seq)``-ordered event stream as flat arrays, one window of
+  tick buckets at a time (including the exact sequence numbers this
+  engine's shared counter would assign), which is what
+  ``engine="columnar"`` walks instead of running this loop.  The ordering contract documented here is therefore load-
   bearing for that module too: any change to the merge rule or the
   counter discipline must be mirrored there.
 """

@@ -3,14 +3,20 @@
 import pytest
 
 from repro.cache.base import NullStrategy, StrategyContext
+from repro.cache.factory import spec_from_name
 from repro.cache.index_server import IndexServer
 from repro.cache.lru import LRUStrategy
 from repro.cache.oracle import OracleStrategy
+from repro.cache.policies import policy_names
 from repro.cache.segments import PlacementMap, cache_footprint_bytes, segment_bytes
-from repro.errors import CacheError
+from repro.core.config import SimulationConfig
+from repro.core.system import CableVoDSystem
+from repro.errors import CacheError, PlacementError
 from repro.peers.settop import SetTopBox
 from repro.topology.hfc import Neighborhood
 from repro.trace.records import Catalog, Program
+from repro.trace.synthetic import PowerInfoModel
+from repro.trace.workload import Workload, cached_workload_trace
 
 
 def build_server(strategy=None, n_users=3, segments_per_peer=10,
@@ -154,3 +160,70 @@ class TestMembershipPlumbing:
         assert server.stats.sessions == 1
         assert server.stats.segment_requests == 2
         assert server.stats.server_deliveries == 2
+
+
+class TestCapturedEntries:
+    """A captured entry exists exactly for each placed member.
+
+    ``request_segment_code`` routes on one ``_stored`` lookup, which is
+    only sound while entry <=> member <=> placed holds after every
+    membership change -- admissions, evictions, the oracle's instant
+    fill and the rollback of a refused placement.
+    """
+
+    MODEL = PowerInfoModel(n_users=240, n_programs=40, days=2.0, seed=21)
+    CONFIG = dict(neighborhood_size=60, per_peer_storage_gb=1.0,
+                  warmup_days=0.0)
+
+    @staticmethod
+    def _assert_consistent(server):
+        members = set(server.strategy.members)
+        assert set(server._stored) == members
+        placement = server._placement
+        assert placement.placed_programs == len(members)
+        for program_id, (assignment, captured) in server._stored.items():
+            assert placement.holders(program_id) is assignment
+            assert len(captured) == len(assignment)
+            assert set(captured) <= {0, 1}
+
+    def _replay(self, monkeypatch, policy, refuse_every=0):
+        checked = [0]
+        start = IndexServer.on_session_start
+
+        def checked_start(server, now, user_id, program_id):
+            start(server, now, user_id, program_id)
+            self._assert_consistent(server)
+            checked[0] += 1
+
+        monkeypatch.setattr(IndexServer, "on_session_start", checked_start)
+        if refuse_every:
+            place = PlacementMap.place_program
+            calls = [0]
+
+            def refusing_place(placement, program, num_segments=None):
+                calls[0] += 1
+                if calls[0] % refuse_every == 0:
+                    raise PlacementError("refused for the test")
+                return place(placement, program, num_segments)
+
+            monkeypatch.setattr(PlacementMap, "place_program", refusing_place)
+        trace = cached_workload_trace(Workload(model=self.MODEL))
+        config = SimulationConfig(strategy=spec_from_name(policy),
+                                  **self.CONFIG)
+        system = CableVoDSystem(trace, config, engine="bucket")
+        result = system.run()
+        for server in system.index_servers:
+            self._assert_consistent(server)
+        assert checked[0] == result.counters.sessions
+        return result
+
+    @pytest.mark.parametrize("policy", policy_names())
+    def test_every_policy(self, monkeypatch, policy):
+        counters = self._replay(monkeypatch, policy).counters
+        if policy != "none":
+            assert counters.admissions > 0 and counters.evictions > 0
+
+    @pytest.mark.parametrize("policy", ["lfu", "oracle"])
+    def test_refused_placements_roll_back(self, monkeypatch, policy):
+        result = self._replay(monkeypatch, policy, refuse_every=3)
+        assert result.counters.placement_failures > 0

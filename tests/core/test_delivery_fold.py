@@ -2,12 +2,13 @@
 
 The scalar engines log one outcome code per delivery and fold the log
 into counters and meters every ``FLUSH_ROWS`` deliveries (and once
-before the result is built); the columnar engine folds its whole code
-stream once.  Each flush seeds the touched meter buckets with their
+before the result is built); the columnar engine folds once per
+schedule window.  Each flush seeds the touched meter buckets with their
 current values, so every bucket sees the same float additions as one
 ``add_interval`` per delivery.  These tests pin that: the result digest
 of every drain -- bucket, columnar, streamed, sharded, live -- is one
-value for any flush size, on the numpy fold and on the scalar fold.
+value for any flush size (and any columnar window width), on the numpy
+fold and on the scalar fold.
 """
 
 from __future__ import annotations
@@ -92,6 +93,19 @@ def test_every_drain_matches_at_every_flush_size(monkeypatch, reference,
     assert _drain_digests() == dict.fromkeys(
         ("bucket", "columnar", "streamed", "2-shard", "live-noop"), reference
     )
+
+
+@pytest.mark.parametrize("width", [1, 72, 10 ** 9])
+def test_columnar_matches_at_every_window_width(monkeypatch, reference, width):
+    """One fold per schedule window, whatever the window width."""
+    if not columnar_supported():
+        pytest.skip("needs numpy")
+    from repro.sim import columnar
+
+    monkeypatch.setattr(columnar, "WINDOW_TICKS", width)
+    trace = cached_workload_trace(Workload(model=MODEL))
+    result = CableVoDSystem(trace, CONFIG, engine="columnar").run()
+    assert result_digest(result) == reference
 
 
 def test_log_stays_bounded(monkeypatch):

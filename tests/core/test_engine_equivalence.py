@@ -296,15 +296,54 @@ class TestColumnarInternals:
         vectorized.add_bits_bulk(nonzero.tolist(), dense[nonzero].tolist())
         assert vectorized.buckets() == scalar.buckets()
 
-    def test_schedule_is_cached_per_trace(self, tiny_trace):
+    def test_two_runs_on_one_trace_agree(self, tiny_trace):
         if not columnar_supported():
             pytest.skip("needs numpy")
-        from repro.sim.columnar import cached_schedule
+        from bench.checks import result_digest
 
-        last = [p.num_segments - 1 for p in tiny_trace.catalog]
-        assert cached_schedule(tiny_trace, last) is cached_schedule(
-            tiny_trace, last
+        first, second = (
+            result_digest(CableVoDSystem(tiny_trace, _config(),
+                                         engine="columnar").run())
+            for _ in range(2)
         )
+        assert first == second
+
+    def test_largest_window_is_a_fraction_of_the_run(self):
+        if not columnar_supported():
+            pytest.skip("needs numpy")
+        from repro.sim.columnar import build_schedule
+
+        trace = generate_trace(
+            PowerInfoModel(n_users=300, n_programs=60, days=8.0, seed=11))
+        starts, _, program_ids, durations = trace.columns()
+        last = [p.num_segments - 1 for p in trace.catalog]
+        sizes = [window.n_events for window in build_schedule(
+            starts, durations, program_ids, last)]
+        assert max(sizes) <= sum(sizes) / 4
+
+    def test_no_window_outlives_the_run(self, tiny_trace, monkeypatch):
+        if not columnar_supported():
+            pytest.skip("needs numpy")
+        import weakref
+
+        from repro.sim import columnar
+
+        refs = []
+        build = columnar.build_schedule
+
+        def watched(*args):
+            for window in build(*args):
+                refs.extend(weakref.ref(getattr(window, name)) for name in (
+                    "rec", "time", "watch", "segment", "is_start",
+                    "delivered"))
+                yield window
+
+        monkeypatch.setattr(columnar, "build_schedule", watched)
+        system = CableVoDSystem(tiny_trace, _config(), engine="columnar")
+        result = system.run()
+        assert result.events_processed > 0
+        assert len(refs) > 6
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestWorkerDefaults:
