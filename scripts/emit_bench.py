@@ -666,7 +666,7 @@ def main() -> int:
 
         controller = AdmissionController(throttle=ThrottleSpec(),
                                          fairness=FairnessSpec())
-        return CableVoDSystem(trace, config).run_live(controller)
+        return CableVoDSystem(trace, config).run(admission=controller)
 
     abusive_model = PowerInfoModel(n_users=users, n_programs=users // 5,
                                    days=days, seed=5, abusive_fraction=0.1,
@@ -681,7 +681,7 @@ def main() -> int:
                                   user_window_seconds=86400.0),
             fairness=FairnessSpec(lead_seconds=14400.0, fill_weight=2.0),
         )
-        return CableVoDSystem(abusive_trace, config).run_live(controller)
+        return CableVoDSystem(abusive_trace, config).run(admission=controller)
 
     noop_s = best_of(live_noop, repeats=2)
     active_s = best_of(live_active, repeats=2)

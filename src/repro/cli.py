@@ -37,6 +37,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.runner import ENGINE_CHOICES
 from repro.errors import ReproError
 from repro.experiments import all_experiments, get_experiment, get_profile
 
@@ -113,7 +114,7 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=("auto", "columnar", "bucket", "heap", "python"),
+        choices=ENGINE_CHOICES,
         help=(
             "event-engine override for the loaded file: columnar "
             "(vectorized, needs numpy), bucket (scalar reference), heap "

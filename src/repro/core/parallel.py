@@ -87,9 +87,8 @@ class ShardSpec:
         This task's shard (``0 <= index < n_shards``).
     streaming:
         Generate the trace lazily for the split and replay this shard's
-        slice chunk by chunk
-        (:meth:`~repro.core.system.CableVoDSystem.run_streaming`)
-        instead of materializing it.
+        slice chunk by chunk (``CableVoDSystem.run(chunks)``) instead
+        of materializing it.
     chunk_hours:
         Generation chunk span for streaming replay (ignored otherwise).
     """
@@ -143,11 +142,11 @@ class SimulationTask:
         metro run (:mod:`repro.core.shard`) instead of the whole plant.
     live:
         When set, the task drains its trace through the live headend
-        mode (:meth:`~repro.core.system.CableVoDSystem.run_live`)
-        instead of the offline replay: a ``(throttle, fairness)`` pair
-        of optional admission specs (:mod:`repro.live.specs`), both
-        tiny frozen dataclasses so the pickle stays small.  Live tasks
-        are monolithic -- they cannot carry a shard.
+        mode (``CableVoDSystem.run(admission=...)``) instead of the
+        offline replay: a ``(throttle, fairness)`` pair of optional
+        admission specs (:mod:`repro.live.specs`), both tiny frozen
+        dataclasses so the pickle stays small.  Live tasks are
+        monolithic -- they cannot carry a shard.
     label:
         The scenario label, for error messages (``""`` if none).
     """
@@ -205,14 +204,18 @@ def _task_baselines(task: SimulationTask, trace: Trace) -> Dict[str, float]:
     return dict(items)
 
 
-def _run_live_task(task: SimulationTask, trace: Trace) -> SimulationResult:
-    """Drain one live task: arrival-order replay behind admission."""
-    from repro.core.system import CableVoDSystem
-    from repro.live.admission import AdmissionController
+def _run_on_trace(task: SimulationTask, trace: Trace) -> TaskOutcome:
+    """Run one unsharded task on its trace: live or offline, plus baselines."""
+    if task.live is None:
+        result = run_simulation(trace, task.config, engine=task.engine)
+    else:
+        from repro.core.system import CableVoDSystem
+        from repro.live.admission import AdmissionController
 
-    throttle, fairness = task.live
-    controller = AdmissionController(throttle=throttle, fairness=fairness)
-    return CableVoDSystem(trace, task.config).run_live(controller)
+        throttle, fairness = task.live
+        controller = AdmissionController(throttle=throttle, fairness=fairness)
+        result = CableVoDSystem(trace, task.config).run(admission=controller)
+    return result, _task_baselines(task, trace)
 
 
 def _execute_task(task: SimulationTask,
@@ -226,11 +229,7 @@ def _execute_task(task: SimulationTask,
         from repro.core.shard import execute_shard_task
 
         return execute_shard_task(task, shard_slice), {}
-    trace = cached_workload_trace(task.workload)
-    if task.live is not None:
-        return _run_live_task(task, trace), _task_baselines(task, trace)
-    result = run_simulation(trace, task.config, engine=task.engine)
-    return result, _task_baselines(task, trace)
+    return _run_on_trace(task, cached_workload_trace(task.workload))
 
 
 @lru_cache(maxsize=2)
@@ -270,10 +269,7 @@ def _execute_shared(payload: Tuple[SimulationTask, Optional[Handle]],
             trace = None
     if trace is None:
         trace = cached_workload_trace(task.workload)
-    if task.live is not None:
-        return _run_live_task(task, trace), _task_baselines(task, trace)
-    result = run_simulation(trace, task.config, engine=task.engine)
-    return result, _task_baselines(task, trace)
+    return _run_on_trace(task, trace)
 
 
 def _cpu_workers() -> int:

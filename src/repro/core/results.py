@@ -105,8 +105,8 @@ class SimulationResult:
     wall_seconds: float = 0.0
     #: Per-user live-admission accounting
     #: (:class:`repro.live.admission.LiveReport`), set by
-    #: :meth:`~repro.core.system.CableVoDSystem.run_live`.  ``None`` on
-    #: offline replays and on merged shard results (live runs are
+    #: :meth:`~repro.core.system.CableVoDSystem.run` under admission.
+    #: ``None`` on offline replays and on merged shard results (live runs are
     #: monolithic).
     live: Optional["LiveReport"] = None
 

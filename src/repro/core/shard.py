@@ -27,7 +27,7 @@ serial or pooled:
   their tasks have returned;
 * **the replay, once per shard** -- :func:`execute_shard_task` reads
   its slice back: a streaming shard drains it chunk by chunk through
-  :meth:`~repro.core.system.CableVoDSystem.run_streaming`, so resident
+  :meth:`~repro.core.system.CableVoDSystem.run`, so resident
   session columns stay O(chunk); a materialized shard concatenates it
   into one :class:`~repro.trace.records.Trace` for any engine.  Slices
   keep global user ids and the global ``n_users``, so placement and
@@ -349,7 +349,7 @@ def execute_shard_task(task, shard_slice: SliceHandle) -> SimulationResult:
                 None, config, engine="bucket", neighborhood_ids=ids,
                 catalog=reader.catalog, n_users=reader.n_users,
             )
-            return system.run_streaming(_filtered_chunks(reader))
+            return system.run(_filtered_chunks(reader))
         trace = reader.materialize()
     return CableVoDSystem(trace, config, engine=resolve_engine(task.engine),
                           neighborhood_ids=ids).run()

@@ -215,8 +215,8 @@ class CableVoDSystem:
         self._ran = False
         self._sim = Simulator()
         #: Live admission controller (:mod:`repro.live`), bound by
-        #: :meth:`run_live`.  ``None`` on every offline path -- the
-        #: delivery hook below is a single identity check then.
+        #: :meth:`run` when given one.  ``None`` on every offline path
+        #: -- the delivery hook below is a single identity check then.
         self._live = None
 
     # ------------------------------------------------------------------
@@ -493,186 +493,99 @@ class CableVoDSystem:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self) -> SimulationResult:
-        """Replay the whole trace and collect the results."""
-        if self._trace is None:
+    def run(self, chunks: Optional[Iterable] = None,
+            admission=None) -> SimulationResult:
+        """Replay the session stream and collect the results.
+
+        With ``chunks=None`` the system's own trace is replayed: the
+        columnar engine walks its precomputed schedule, the bucket
+        engine preloads the start storm as calendar slabs, the heap
+        engine schedules one event per record.  Otherwise ``chunks``
+        yields :class:`~repro.trace.streaming.TraceChunk`-shaped objects
+        (ascending, non-overlapping) with O(chunk) resident records:
+        per chunk the clock first drains to just below the chunk's
+        window start -- the horizon-aware run leaves every later bucket
+        unactivated -- then the chunk's starts extend the calendar as
+        slabs whose columns are dropped once their buckets drain.  The
+        chunked replay is bit-identical to the materialized one (the
+        sequence-band argument is laid out in
+        ``Simulator.extend_starts``), including ``trace_end_time``, the
+        max session end over the replayed records.
+
+        ``admission`` (an
+        :class:`~repro.live.admission.AdmissionController`) turns the
+        drain into the live headend mode (:mod:`repro.live`), over
+        either source: session starts pass through it *before* they
+        reach the index server -- admitted requests start exactly as
+        the offline replay starts them, deferred requests are re-decided
+        after their retry-after (watching whatever remains of their
+        session window), denied requests never touch the plant.  The
+        result carries the controller's per-user accounting as
+        ``result.live``.  A controller built from no-op specs
+        (unlimited windows, unlimited lead) is bit-identical to the
+        offline replay (tests/live/test_live_equivalence.py).
+
+        Chunks and admission drain on the bucket engine only.  A
+        refused call raises :class:`SimulationError` before the
+        system's one replay is claimed.
+        """
+        if chunks is None and self._trace is None:
             raise SimulationError(
                 "this system was built traceless; feed it chunks via "
-                "run_streaming()"
+                "run(chunks)"
+            )
+        if self._engine != "bucket" and (chunks is not None
+                                         or admission is not None):
+            raise SimulationError(
+                f"chunked and live replays drain on the bucket engine "
+                f"only (got {self._engine!r})"
             )
         started = self._start_run()
         if self._engine == "columnar":
             events_processed = self._run_columnar()
-        else:
-            if self._engine == "bucket":
-                # The trace's chronological invariant makes the whole
-                # start storm one slab preload: per-bucket slices of the
-                # trace's own columns, no per-session registration in
-                # the drain loop.  Bit-identical to an at_fast() loop
-                # over the records
-                # (tests/core/test_engine_equivalence.py).
-                self._sim.preload_starts(
-                    self._trace.start_times,
-                    self._start_session_fast,
-                    self._trace.records,
-                )
-            else:
-                for record in self._trace:
-                    self._sim.at(record.start_time, self._start_session, record)
-            self._sim.run()
-            events_processed = self._sim.events_processed
-        return self._build_result(events_processed, self._trace.end_time,
-                                  started)
-
-    def run_streaming(self, chunks: Iterable) -> SimulationResult:
-        """Replay a chunked trace stream with O(chunk) resident records.
-
-        ``chunks`` yields :class:`~repro.trace.streaming.TraceChunk`-shaped
-        objects (ascending, non-overlapping).  Per chunk, the clock
-        first drains to just below the chunk's window start -- the
-        horizon-aware run leaves every later bucket unactivated -- then
-        the chunk's starts extend the calendar queue as slabs whose
-        columns are dropped as soon as their buckets drain.
-        Bit-identical to :meth:`run` on the materialized trace with
-        ``engine="bucket"`` (the sequence-band argument is laid out in
-        ``Simulator.extend_starts``), including ``trace_end_time``,
-        which is accumulated here exactly as ``Trace.end_time`` computes
-        it: the max session end over the replayed records.
-        """
-        if self._engine != "bucket":
-            raise SimulationError(
-                f"streaming replay runs on the bucket engine only "
-                f"(got {self._engine!r}); materialize the trace for "
-                f"heap/columnar runs"
-            )
-        started = self._start_run()
-        sim = self._sim
-        end_time = 0.0
-        for chunk in chunks:
-            bound = chunk.start_second
-            if bound > sim.now:
-                sim.run(until=math.nextafter(bound, -math.inf))
-            records = chunk.records()
-            if records:
-                end_time = max(end_time,
-                               max(r.end_time for r in records))
-            sim.extend_starts(chunk.start_times, self._start_session_fast,
-                              records)
-        sim.run()
-        return self._build_result(sim.events_processed, end_time, started)
-
-    # ------------------------------------------------------------------
-    # Live headend mode (repro.live)
-    # ------------------------------------------------------------------
-
-    def run_live(self, admission=None, requests: Optional[Iterable] = None
-                 ) -> SimulationResult:
-        """Serve the request stream online through an admission layer.
-
-        The live headend drain (:mod:`repro.live`): session starts pass
-        through ``admission`` (an
-        :class:`~repro.live.admission.AdmissionController`) *before*
-        they reach the index server -- admitted requests start exactly
-        as the offline replay starts them, deferred requests are
-        re-decided after their retry-after (watching whatever remains
-        of their session window), denied requests never touch the
-        plant.  The returned result carries the controller's per-user
-        served/denied/deferred accounting as ``result.live``.
-
-        ``requests`` optionally feeds the drain from a generator of
-        time-ordered :class:`~repro.trace.records.SessionRecord`\\ s
-        instead of the materialized trace, with O(hour) resident
-        records (the streamed calendar-extension protocol).
-
-        With ``admission=None`` -- or a controller built from no-op
-        specs (unlimited windows, unlimited lead) -- the drain is
-        bit-identical to ``run()`` on ``engine="bucket"``: the
-        admission wrapper degenerates to the same per-record callback
-        at the same ``(time, seq)`` slots, and the delivery hook adds
-        no float operations to the metering path
-        (tests/live/test_live_equivalence.py).
-        """
-        if self._engine != "bucket":
-            raise SimulationError(
-                f"live mode drains on the bucket engine only "
-                f"(got {self._engine!r})"
-            )
-        if requests is None and self._trace is None:
-            raise SimulationError(
-                "this system was built traceless; pass requests= to "
-                "feed the live drain"
-            )
-        started = self._start_run()
-        callback = self._start_session_fast
-        if admission is not None:
-            admission.bind([n.size for n in self._selected])
-            self._live = admission
-            callback = self._live_request
-        if requests is None:
-            self._sim.preload_starts(
-                self._trace.start_times, callback, self._trace.records
-            )
-            self._sim.run()
             end_time = self._trace.end_time
         else:
-            end_time = self._drain_request_stream(requests, callback)
-        result = self._build_result(self._sim.events_processed, end_time,
-                                    started)
+            sim = self._sim
+            callback = self._start_session_fast
+            if admission is not None:
+                admission.bind([n.size for n in self._selected])
+                self._live = admission
+                callback = self._live_request
+            if chunks is not None:
+                end_time = 0.0
+                for chunk in chunks:
+                    bound = chunk.start_second
+                    if bound > sim.now:
+                        sim.run(until=math.nextafter(bound, -math.inf))
+                    records = chunk.records()
+                    if records:
+                        end_time = max(end_time,
+                                       max(r.end_time for r in records))
+                    sim.extend_starts(chunk.start_times, callback, records)
+            else:
+                end_time = self._trace.end_time
+                if self._engine == "bucket":
+                    # The trace's chronological invariant makes the whole
+                    # start storm one slab preload: per-bucket slices of
+                    # the trace's own columns, no per-session
+                    # registration in the drain loop.  Bit-identical to
+                    # an at_fast() loop over the records
+                    # (tests/core/test_engine_equivalence.py).
+                    sim.preload_starts(self._trace.start_times, callback,
+                                       self._trace.records)
+                else:
+                    for record in self._trace:
+                        sim.at(record.start_time, self._start_session, record)
+            sim.run()
+            events_processed = sim.events_processed
+        result = self._build_result(events_processed, end_time, started)
         if admission is not None:
             result.live = admission.report
         return result
 
-    def _drain_request_stream(self, requests: Iterable, callback) -> float:
-        """Feed an arrival-ordered record stream into the running clock.
-
-        Buffers the stream into hour-aligned spans (hours are a
-        multiple of the calendar tick, so span boundaries are always
-        extendable slab boundaries), runs the clock to just below each
-        span, and extends the calendar with the span's starts -- the
-        same protocol :meth:`run_streaming` uses, driven by a plain
-        iterator instead of trace chunks.  Returns the max session end
-        seen (what ``Trace.end_time`` would report).
-        """
-        sim = self._sim
-        span_seconds = float(units.SECONDS_PER_HOUR)
-        end_time = 0.0
-        times: List[float] = []
-        records: List[SessionRecord] = []
-        span_index: Optional[int] = None
-
-        def flush(span_start: float, times: List[float],
-                  records: List[SessionRecord]) -> None:
-            # Run to just below the hour-aligned span boundary (never a
-            # mid-tick time), so the slab's first tick is strictly past
-            # the draining bucket -- the extend protocol's requirement.
-            if span_start > sim.now:
-                sim.run(until=math.nextafter(span_start, -math.inf))
-            sim.extend_starts(times, callback, records)
-
-        for record in requests:
-            start = record.start_time
-            index = int(start // span_seconds)
-            if span_index is None:
-                span_index = index
-            elif index != span_index:
-                flush(span_index * span_seconds, times, records)
-                # The calendar keeps the slab columns alive until their
-                # buckets drain; rebind instead of clearing.
-                times, records = [], []
-                span_index = index
-            elif times and start < times[-1]:
-                raise SimulationError(
-                    f"live requests must arrive in time order "
-                    f"(got t={start:.6f} after t={times[-1]:.6f})"
-                )
-            times.append(start)
-            records.append(record)
-            if record.end_time > end_time:
-                end_time = record.end_time
-        if times:
-            flush(span_index * span_seconds, times, records)
-        sim.run()
-        return end_time
+    # ------------------------------------------------------------------
+    # Live headend mode (repro.live)
+    # ------------------------------------------------------------------
 
     def _live_request(self, record: SessionRecord) -> None:
         """Admission-wrapped session start (the live drain's callback)."""

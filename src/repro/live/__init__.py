@@ -19,7 +19,8 @@ Both are registered by name in the policy registry
 (``live`` / ``throttle`` / ``fairness`` knobs, ``--live --throttle
 --fairness`` CLI flags), and compose inside one
 :class:`~repro.live.admission.AdmissionController` that
-:meth:`~repro.core.system.CableVoDSystem.run_live` drains through.
+:meth:`~repro.core.system.CableVoDSystem.run` drains through when given
+one as ``admission``, over a materialized trace or a chunk stream.
 With no-op policies (unlimited windows, unlimited lead) the live drain
 is bit-identical to the offline ``bucket`` engine.
 """

@@ -217,8 +217,9 @@ class AdmissionController:
     def bind(self, neighborhood_users: Sequence[int]) -> None:
         """Build runtime state for a plant of the given neighborhood sizes.
 
-        Called by ``run_live`` once the plant layout is known; a
-        controller is single-run (its report accumulates one drain).
+        Called by ``CableVoDSystem.run(admission=...)`` once the plant
+        layout is known; a controller is single-run (its report
+        accumulates one drain).
         """
         if self.throttle_spec is not None:
             self._throttle = SlidingWindowThrottle(self.throttle_spec)

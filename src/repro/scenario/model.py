@@ -32,6 +32,7 @@ from repro.cache.factory import (
     spec_to_dict,
 )
 from repro.core.config import SimulationConfig
+from repro.core.system import ENGINE_MODES
 from repro.errors import ConfigurationError
 from repro.live.specs import (
     FairnessSpec,
@@ -45,8 +46,6 @@ from repro.trace.families import spec_from_dict as family_spec_from_dict
 from repro.trace.families import spec_to_dict as family_spec_to_dict
 from repro.trace.workload import Workload
 
-#: Event-engine paths accepted by :func:`repro.core.runner.run_simulation`.
-ENGINES = ("bucket", "heap", "columnar")
 
 #: Config fields serialized even when they equal their defaults -- the
 #: identity of a deployment a reader wants to see.  (The workload-side
@@ -246,9 +245,9 @@ class Scenario:
             raise ConfigurationError(
                 f"config must be a SimulationConfig, got {type(self.config).__name__}"
             )
-        if self.engine not in ENGINES:
+        if self.engine not in ENGINE_MODES:
             raise ConfigurationError(
-                f"unknown engine {self.engine!r}; choose from {list(ENGINES)}"
+                f"unknown engine {self.engine!r}; choose from {list(ENGINE_MODES)}"
             )
         if self.seed is not None and not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an int, got {self.seed!r}")

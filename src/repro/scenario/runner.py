@@ -28,6 +28,7 @@ CLI's live-progress stream.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.registry import RATE_COLUMNS
@@ -38,11 +39,9 @@ from repro.core.parallel import (
     iter_task_results,
 )
 from repro.core.results import SimulationResult
-from repro.core.runner import run_simulation
 from repro.scenario.metrics import metric_columns
 from repro.scenario.model import Scenario
 from repro.scenario.sweep import Sweep
-from repro.trace.workload import cached_workload_trace
 
 
 def result_row(config: SimulationConfig, result: SimulationResult,
@@ -99,24 +98,8 @@ def scenario_tasks(scenario: Scenario) -> List[SimulationTask]:
 
 
 def run_scenario(scenario: Scenario) -> SimulationResult:
-    """Run one scenario against its (memoized, transformed) trace.
-
-    Sharded or streaming scenarios run their shard task group (worker
-    count resolved from the process default) and reduce it; the result
-    is bit-identical either way.
-    """
-    if scenario.shards > 1 or scenario.streaming:
-        group = scenario_tasks(scenario)
-        return _reduce_group(len(group), iter_task_results(group))
-    trace = cached_workload_trace(scenario.workload())
-    if scenario.live:
-        from repro.core.system import CableVoDSystem
-        from repro.live.admission import AdmissionController
-
-        controller = AdmissionController(throttle=scenario.throttle,
-                                         fairness=scenario.fairness)
-        return CableVoDSystem(trace, scenario.config).run_live(controller)
-    return run_simulation(trace, scenario.config, engine=scenario.engine)
+    """Run one scenario: :func:`run_scenarios` over a one-item list."""
+    return run_scenarios([scenario])[0]
 
 
 def _scenario_row(scenario: Scenario, result: SimulationResult,
@@ -142,17 +125,10 @@ def scenario_row(scenario: Scenario,
     too; a caller passing a pre-computed ``result`` gets the metric
     columns but no baselines (the trace is not rebuilt for them).
     """
-    baseline_values: Dict[str, float] = {}
     if result is None:
-        if scenario.shards > 1 or scenario.streaming:
-            # Sharded/streaming scenarios carry no baselines (the
-            # Scenario validates that), so there are no columns to lose.
-            result = run_scenario(scenario)
-        else:
-            result, baseline_values = next(
-                iter_task_results([scenario_task(scenario)], workers=1)
-            )
-    row = _scenario_row(scenario, result, baseline_values)
+        row = run_sweep(scenario)[0]
+    else:
+        row = _scenario_row(scenario, result)
     if scenario.label:
         row["label"] = scenario.label
     return row
@@ -170,14 +146,8 @@ def run_scenarios(
     ``--workers`` flag, else ``REPRO_WORKERS``, else one per CPU).
     """
     # Baselines are row-level; result-only callers skip computing them.
-    groups = [
-        scenario_tasks(s) if (s.shards > 1 or s.streaming) else
-        [SimulationTask(workload=s.workload(), config=s.config,
-                        engine=s.engine,
-                        live=(s.throttle, s.fairness) if s.live else None,
-                        label=s.label)]
-        for s in scenarios
-    ]
+    groups = [[replace(task, baselines=()) for task in scenario_tasks(s)]
+              for s in scenarios]
     outcomes = iter_task_results([t for group in groups for t in group],
                                  workers=workers)
     return [_reduce_group(len(group), outcomes) for group in groups]

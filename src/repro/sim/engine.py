@@ -298,87 +298,6 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def _dispatch(self, limit: float) -> bool:
-        """Execute the single next event with time <= ``limit``.
-
-        Returns ``True`` if an event was executed.  The next event is
-        the ``(time, seq)`` minimum across the heap and the calendar
-        buckets -- the merge that keeps mixed-API schedules in exact
-        global FIFO order.
-        """
-        queue = self._queue
-        buckets = self._buckets
-        while True:
-            bucket_entry = buckets.peek_entry()
-            heap_entry = queue.peek_entry()
-            if bucket_entry is None:
-                if heap_entry is None:
-                    return False
-                use_bucket = False
-            elif heap_entry is None:
-                use_bucket = True
-            else:
-                use_bucket = (
-                    bucket_entry[0] < heap_entry[0]
-                    or (bucket_entry[0] == heap_entry[0]
-                        and bucket_entry[1] < heap_entry[1])
-                )
-
-            if not use_bucket:
-                time = heap_entry[0]
-                if time > limit:
-                    return False
-                event = queue.pop()
-                self._now = time
-                self._events_processed += 1
-                event.fire()
-                return True
-
-            time = bucket_entry[0]
-            if time > limit:
-                return False
-            buckets.advance()
-            if len(bucket_entry) == 3:
-                arc = bucket_entry[2]
-                if not arc.active:
-                    continue  # lazily-deleted cancelled step
-                arc.pending = False
-                buckets._live -= 1
-                self._now = time
-                self._events_processed += 1
-                index = arc.index
-                arc.index = index + 1
-                if arc.fn(time, index, *arc.args) and arc.active:
-                    buckets.continue_arc(arc, time + buckets.width)
-                else:
-                    arc.active = False
-                return True
-            buckets._live -= 1
-            self._now = time
-            self._events_processed += 1
-            bucket_entry[2](*bucket_entry[3])
-            return True
-
-    def step(self) -> bool:
-        """Execute the single next event.
-
-        Returns ``True`` if an event was executed, ``False`` if nothing
-        is scheduled (clock unchanged).
-
-        Raises
-        ------
-        SimulationError
-            If called from inside a running :meth:`run` loop: the run
-            loop keeps its bucket cursor in locals for speed, so a
-            re-entrant step would re-execute the entry currently being
-            dispatched.
-        """
-        if self._running:
-            raise SimulationError(
-                "simulator is not reentrant: step() called from a callback"
-            )
-        return self._dispatch(math.inf)
-
     def run(self, until: Optional[float] = None) -> None:
         """Run events in order until the queues drain or the horizon.
 
@@ -401,13 +320,13 @@ class Simulator:
                         f"horizon t={until} precedes current time t={self._now}"
                     )
                 limit = until
-            # Inlined merge of _dispatch(): this loop executes one
-            # iteration per simulated event (hundreds of thousands per
-            # run), so structure access is flattened into locals -- the
-            # bucket cursor lives in `front`/`pos` and is only written
-            # back when the front bucket changes or the loop exits, and
-            # arc continuation appends straight into the target bucket.
-            # Any semantic change here must be mirrored in _dispatch().
+            # The (time, seq) merge of the heap and the calendar
+            # buckets.  This loop executes one iteration per simulated
+            # event (hundreds of thousands per run), so structure access
+            # is flattened into locals -- the bucket cursor lives in
+            # `front`/`pos` and is only written back when the front
+            # bucket changes or the loop exits, and arc continuation
+            # appends straight into the target bucket.
             queue = self._queue
             buckets = self._buckets
             heap = queue._heap
@@ -501,7 +420,7 @@ class Simulator:
                             index = arc.index
                             arc.index = index + 1
                             if arc.fn(time, index, *arc.args) and arc.active:
-                                # Inlined continue_arc()/_deposit().  An
+                                # Inlined _deposit() of the next step.  An
                                 # arc steps exactly one tick, so nearly
                                 # every deposit lands in the cached
                                 # next-door bucket; float rounding can

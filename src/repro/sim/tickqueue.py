@@ -156,12 +156,6 @@ class TickBucketQueue:
         self._deposit((time, next(self._counter), arc))
         return arc
 
-    def continue_arc(self, arc: SessionArc, time: float) -> None:
-        """Deposit the arc's next step (engine-internal)."""
-        arc.time = time
-        arc.pending = True
-        self._deposit((time, next(self._counter), arc))
-
     def cancel_arc(self, arc: SessionArc) -> None:
         """Retract an in-flight arc (idempotent).
 
@@ -317,17 +311,3 @@ class TickBucketQueue:
             return
         self._front = None
         self._front_pos = 0
-
-    def peek_entry(self) -> Optional[tuple]:
-        """The next entry in ``(time, seq)`` order, without consuming it."""
-        front, pos = self._front, self._front_pos
-        if front is None or pos >= len(front):
-            self._activate_next_bucket()
-            front, pos = self._front, self._front_pos
-            if front is None:
-                return None
-        return front[pos]
-
-    def advance(self) -> None:
-        """Consume the entry :meth:`peek_entry` returned."""
-        self._front_pos += 1

@@ -36,16 +36,15 @@ def _drain_digests() -> dict:
     """Digest of every drain of MODEL under CONFIG, by drain name."""
     trace = cached_workload_trace(Workload(model=MODEL))
     stream = open_trace_stream(MODEL, chunk_hours=3)
-    live = CableVoDSystem(trace, CONFIG).run_live(
-        AdmissionController(throttle=ThrottleSpec(), fairness=FairnessSpec())
-    )
+    live = CableVoDSystem(trace, CONFIG).run(admission=AdmissionController(
+        throttle=ThrottleSpec(), fairness=FairnessSpec()))
     live.live = None  # the admission tallies are not part of the plant
     results = {
         "bucket": CableVoDSystem(trace, CONFIG, engine="bucket").run(),
         "columnar": CableVoDSystem(trace, CONFIG, engine="columnar").run(),
         "streamed": CableVoDSystem(
             None, CONFIG, catalog=stream.catalog, n_users=stream.n_users
-        ).run_streaming(stream.chunks()),
+        ).run(stream.chunks()),
         "2-shard": run_sharded(MODEL, CONFIG, n_shards=2, engine="bucket",
                                workers=1),
         "live-noop": live,

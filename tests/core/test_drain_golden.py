@@ -87,7 +87,7 @@ def _streamed(model, config):
     stream = open_trace_stream(model, chunk_hours=3)
     system = CableVoDSystem(None, config, catalog=stream.catalog,
                             n_users=stream.n_users)
-    return system.run_streaming(stream.chunks())
+    return system.run(stream.chunks())
 
 
 #: Drain name -> ``replay(model, config)``.
@@ -102,10 +102,10 @@ DRAINS = {
     "2-shard": lambda model, config: run_sharded(
         model, config, n_shards=2, engine="bucket", workers=1),
     "live-noop": lambda model, config: CableVoDSystem(
-        _trace(model), config).run_live(AdmissionController(
+        _trace(model), config).run(admission=AdmissionController(
             throttle=ThrottleSpec(), fairness=FairnessSpec())),
     "live-active": lambda model, config: CableVoDSystem(
-        _trace(model), config).run_live(_active_controller()),
+        _trace(model), config).run(admission=_active_controller()),
 }
 
 

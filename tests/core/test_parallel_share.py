@@ -339,10 +339,10 @@ class TestSliceCleanup:
     def test_poisoned_worker_cleans_up(self, spill_dir, monkeypatch, workers):
         from repro.core.system import CableVoDSystem
 
-        def poisoned(self, chunks):
+        def poisoned(self, chunks=None, admission=None):
             raise RuntimeError("poisoned shard worker")
 
-        monkeypatch.setattr(CableVoDSystem, "run_streaming", poisoned)
+        monkeypatch.setattr(CableVoDSystem, "run", poisoned)
         with pytest.raises(RuntimeError, match="poisoned"):
             list(iter_task_results(_shard_tasks(), workers=workers))
         assert _leftovers(spill_dir) == []

@@ -14,9 +14,10 @@ from repro.cache.factory import (
 )
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
-from repro.core.system import CableVoDSystem
+from repro.core.system import CableVoDSystem, columnar_supported
 from repro.baselines.no_cache import no_cache_peak_gbps
 from repro.errors import SimulationError
+from repro.live import AdmissionController
 from repro.trace.streaming import open_trace_stream
 from repro.trace.records import Catalog, Program, SessionRecord, Trace
 
@@ -177,9 +178,10 @@ class TestOneReplayPerSystem:
     DRAINS = {
         "columnar": lambda system, model: system.run(),
         "bucket": lambda system, model: system.run(),
-        "streaming": lambda system, model: system.run_streaming(
+        "streaming": lambda system, model: system.run(
             open_trace_stream(model).chunks()),
-        "live": lambda system, model: system.run_live(),
+        "live": lambda system, model: system.run(
+            admission=AdmissionController()),
     }
 
     @pytest.mark.parametrize("drain", sorted(DRAINS))
@@ -201,6 +203,36 @@ class TestOneReplayPerSystem:
         assert first.counters == counters
         assert first.counters.sessions == len(tiny_trace)
         assert first.server_meters[0].buckets() == buckets
+
+    @pytest.mark.parametrize("engine, refused", [
+        ("heap", "chunks"),
+        ("columnar", "chunks"),
+        ("columnar", "admission"),
+        ("bucket", "traceless"),
+    ])
+    def test_refused_run_claims_nothing(
+            self, tiny_model, tiny_trace, engine, refused):
+        """A refused ``run()`` claims nothing: a valid call still replays."""
+        if engine == "columnar" and not columnar_supported():
+            pytest.skip("columnar demotes to bucket without numpy")
+        stream = open_trace_stream(tiny_model)
+        if refused == "traceless":
+            system = CableVoDSystem(None, config(), catalog=stream.catalog,
+                                    n_users=stream.n_users)
+        else:
+            system = CableVoDSystem(tiny_trace, config(), engine=engine)
+        with pytest.raises(SimulationError):
+            if refused == "chunks":
+                system.run(stream.chunks())
+            elif refused == "admission":
+                system.run(admission=AdmissionController())
+            else:
+                system.run()
+        if refused == "traceless":
+            result = system.run(stream.chunks())
+        else:
+            result = system.run()
+        assert result.counters.sessions == len(tiny_trace)
 
 
 class TestMediaServerMeter:
@@ -241,6 +273,6 @@ class TestCatalogTables:
         for group in ([0, 1, 2], [3, 4, 5, 6], [7, 8, 9]):  # shard-shaped
             CableVoDSystem(None, cfg, catalog=catalog, n_users=stream.n_users,
                            neighborhood_ids=group)
-        result = system.run_streaming(open_trace_stream(model).chunks())
+        result = system.run(open_trace_stream(model).chunks())
         assert result.counters.admissions > 0
         assert sorted(calls) == list(range(len(catalog)))

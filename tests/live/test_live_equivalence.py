@@ -1,24 +1,28 @@
 """Live drain properties: no-op bit-identity and admission direction.
 
 The live headend mode is only admissible because switching it on
-without an active policy changes *nothing*: ``run_live`` with
-``admission=None`` -- or a controller built from all-default (no-op)
-specs -- must be byte-for-byte identical to the offline ``bucket``
-engine for every registered cache strategy, on both the preloaded and
-the generator-fed drain.  With an *active* policy the direction is
-pinned instead: abusers lose share, everyone else does not pay for it.
+without an active policy changes *nothing*: ``run(admission=...)``
+with ``admission=None`` -- or a controller built from all-default
+(no-op) specs -- must be byte-for-byte identical to the offline
+``bucket`` engine for every registered cache strategy, on both the
+preloaded trace and a chunked trace stream.  With an *active* policy
+the direction is pinned instead: abusers lose share, everyone else does
+not pay for it, and the drain is the same whether the trace is
+materialized or streamed in chunks.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from bench.checks import result_digest
 from repro.cache.factory import spec_from_name
 from repro.cache.policies import policy_names
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.core.system import CableVoDSystem
 from repro.live import AdmissionController, FairnessSpec, ThrottleSpec
+from repro.trace.streaming import open_trace_stream
 from repro.trace.synthetic import (
     PowerInfoModel,
     abusive_user_ids,
@@ -55,6 +59,13 @@ def assert_identical(a, b):
         assert a.upstream_meters[key].buckets() == b.upstream_meters[key].buckets()
 
 
+def _active_controller():
+    return AdmissionController(
+        throttle=ThrottleSpec(user_budget=4, user_window_seconds=86400.0),
+        fairness=FairnessSpec(lead_seconds=14400.0, fill_weight=2.0),
+    )
+
+
 def _noop_controller():
     # All-default specs: unlimited windows, unlimited lead.  The
     # bit-identity contract covers this controller, not just None.
@@ -69,8 +80,8 @@ class TestNoopBitIdentity:
     def test_every_registered_policy(self, abusive_trace, policy):
         config = _config(policy)
         offline = run_simulation(abusive_trace, config, engine="bucket")
-        live = CableVoDSystem(abusive_trace, config).run_live(
-            _noop_controller())
+        live = CableVoDSystem(abusive_trace, config).run(
+            admission=_noop_controller())
         assert_identical(offline, live)
         report = live.live
         assert report is not None
@@ -81,18 +92,20 @@ class TestNoopBitIdentity:
     def test_admission_none_is_bit_identical(self, tiny_trace):
         config = _config()
         offline = run_simulation(tiny_trace, config, engine="bucket")
-        live = CableVoDSystem(tiny_trace, config).run_live()
+        live = CableVoDSystem(tiny_trace, config).run(admission=None)
         assert_identical(offline, live)
         assert live.live is None  # no controller, no report
 
-    def test_generator_fed_drain_is_bit_identical(self, tiny_trace):
+    def test_generator_fed_drain_is_bit_identical(self, tiny_model,
+                                                  tiny_trace):
         config = _config()
         offline = run_simulation(tiny_trace, config, engine="bucket")
-        live = CableVoDSystem(None, config,
-                              n_users=tiny_trace.n_users,
-                              catalog=tiny_trace.catalog).run_live(
-            _noop_controller(), requests=iter(tiny_trace.records))
+        stream = open_trace_stream(tiny_model)
+        live = CableVoDSystem(None, config, n_users=stream.n_users,
+                              catalog=stream.catalog).run(
+            stream.chunks(), admission=_noop_controller())
         assert_identical(offline, live)
+        assert live.trace_end_time == offline.trace_end_time
 
     def test_offline_result_has_no_live_report(self, tiny_trace):
         assert run_simulation(tiny_trace, _config(), engine="bucket").live is None
@@ -104,12 +117,8 @@ class TestActiveAdmission:
     @pytest.fixture(scope="class")
     def drained(self, abusive_trace):
         def drain():
-            controller = AdmissionController(
-                throttle=ThrottleSpec(user_budget=4,
-                                      user_window_seconds=86400.0),
-                fairness=FairnessSpec(lead_seconds=14400.0, fill_weight=2.0),
-            )
-            return CableVoDSystem(abusive_trace, _config()).run_live(controller)
+            return CableVoDSystem(abusive_trace, _config()).run(
+                admission=_active_controller())
 
         return drain(), drain()
 
@@ -127,8 +136,8 @@ class TestActiveAdmission:
         normals = [uid for uid in range(abusive_model.n_users)
                    if uid not in set(abusers)]
 
-        baseline = CableVoDSystem(abusive_trace, _config()).run_live(
-            _noop_controller()).live
+        baseline = CableVoDSystem(abusive_trace, _config()).run(
+            admission=_noop_controller()).live
         # Admission-off: abusers take an outsized coax share...
         assert baseline.coax_share(abusers) > 2 * len(abusers) / abusive_model.n_users
         # ...which the throttle+fairness drain pulls down,
@@ -138,6 +147,18 @@ class TestActiveAdmission:
         assert throttled.admit_rate(normals) > throttled.admit_rate(abusers)
         assert (throttled.served_seconds(normals)
                 >= 0.8 * baseline.served_seconds(normals))
+
+    @pytest.mark.parametrize("chunk_hours", [1, 3, 24])
+    def test_chunked_drain_matches_materialized(self, abusive_model, drained,
+                                                chunk_hours):
+        """Deferred retries cross chunk boundaries without moving a bit."""
+        stream = open_trace_stream(abusive_model, chunk_hours=chunk_hours)
+        system = CableVoDSystem(None, _config(), catalog=stream.catalog,
+                                n_users=stream.n_users)
+        chunked = system.run(stream.chunks(), admission=_active_controller())
+        assert result_digest(chunked) == result_digest(drained[0])
+        assert vars(chunked.live) == vars(drained[0].live)
+        assert chunked.live.deferrals > 0
 
     def test_summary_mentions_live_admission(self, drained):
         assert "live admission" in drained[0].summary()

@@ -136,17 +136,6 @@ class TestRun:
         sim.run()
         assert len(errors) == 1
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_executes_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.at(1.0, fired.append, "a")
-        sim.at(2.0, fired.append, "b")
-        assert sim.step() is True
-        assert fired == ["a"]
-
 
 class TestDeterminism:
     def test_identical_schedules_identical_traces(self):

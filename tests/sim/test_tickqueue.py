@@ -85,41 +85,6 @@ class TestAtFastOrdering:
         sim.run()
         assert fired == [100.0, 200.0, 700.0]
 
-    def test_step_inside_run_callback_is_rejected(self):
-        """Regression: the run loop holds its bucket cursor in locals,
-        so a re-entrant step() would re-fire the current entry; it must
-        raise instead of silently corrupting accounting."""
-        from repro.errors import SimulationError
-
-        sim = Simulator()
-        fired = []
-        errors = []
-
-        def reenter():
-            fired.append("a")
-            try:
-                sim.step()
-            except SimulationError as error:
-                errors.append(error)
-
-        sim.at_fast(10.0, reenter)
-        sim.at_fast(10.0, fired.append, "b")
-        sim.run()
-        assert fired == ["a", "b"]
-        assert len(errors) == 1
-        assert sim.pending_events == 0
-
-    def test_step_merges_bucket_and_heap(self):
-        sim = Simulator()
-        fired = []
-        sim.at(5.0, fired.append, "heap")
-        sim.at_fast(3.0, fired.append, "bucket")
-        assert sim.step() is True
-        assert fired == ["bucket"]
-        assert sim.step() is True
-        assert fired == ["bucket", "heap"]
-        assert sim.step() is False
-
     @given(st.lists(st.floats(min_value=0, max_value=10_000),
                     min_size=1, max_size=200))
     def test_property_matches_heap_order(self, times):

@@ -2,10 +2,10 @@
 
 The stream is only admissible because it changes nothing observable:
 concatenating its chunks must reproduce ``generate_trace`` exactly on
-both backends, replaying it through ``run_streaming`` must reproduce
-the materialized bucket replay byte for byte, and -- the point of the
-whole exercise -- consuming it must never keep more than one yielded
-chunk alive.
+both backends, replaying its chunks through ``CableVoDSystem.run`` must
+reproduce the materialized bucket replay byte for byte, and -- the
+point of the whole exercise -- consuming it must never keep more than
+one yielded chunk alive.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.core.system import CableVoDSystem
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.trace.streaming import (
     DEFAULT_CHUNK_HOURS,
     TraceStream,
@@ -140,7 +140,7 @@ class TestStreamingReplay:
         system = CableVoDSystem(None, config, engine="bucket",
                                 catalog=stream.catalog,
                                 n_users=stream.n_users)
-        streamed = system.run_streaming(stream.chunks())
+        streamed = system.run(stream.chunks())
         assert streamed.counters == materialized.counters
         assert streamed.events_processed == materialized.events_processed
         assert streamed.trace_end_time == materialized.trace_end_time
@@ -148,11 +148,3 @@ class TestStreamingReplay:
                 == materialized.server_meter.buckets())
         assert (streamed.total_meter.buckets()
                 == materialized.total_meter.buckets())
-
-    def test_streaming_requires_bucket_engine(self, tiny_model):
-        stream = open_trace_stream(tiny_model)
-        system = CableVoDSystem(None, self._config(), engine="heap",
-                                catalog=stream.catalog,
-                                n_users=stream.n_users)
-        with pytest.raises(SimulationError):
-            system.run_streaming(stream.chunks())
