@@ -31,7 +31,7 @@ def test_event_loop_throughput(benchmark):
 
         def chain(remaining):
             if remaining:
-                sim.after(1.0, chain, remaining - 1)
+                sim.at(sim.now + 1.0, chain, remaining - 1)
 
         for _ in range(20):
             sim.at(0.0, chain, 1_000)
@@ -47,8 +47,8 @@ def test_event_engine_heap_chain_throughput(benchmark):
 
     The same logical workload as ``test_event_engine_arc_throughput``
     below -- 20 sessions x 1,000 segments on the 300 s grid -- scheduled
-    the way the legacy engine path does it: one Event allocation and one
-    heap push/pop per segment.
+    one heap push/pop per segment, the way a retried live admission
+    walks its segments.
     """
 
     def run():
@@ -56,7 +56,7 @@ def test_event_engine_heap_chain_throughput(benchmark):
 
         def chain(remaining):
             if remaining:
-                sim.after(300.0, chain, remaining - 1)
+                sim.at(sim.now + 300.0, chain, remaining - 1)
 
         for i in range(20):
             sim.at(float(i), chain, 1_000)
@@ -199,18 +199,6 @@ def test_end_to_end_replay_bucket(benchmark):
     config = SimulationConfig(neighborhood_size=60, warmup_days=0.5)
     result = benchmark.pedantic(
         run_simulation, args=(trace, config), kwargs={"engine": "bucket"},
-        rounds=1, iterations=1,
-    )
-    assert result.counters.sessions == len(trace)
-
-
-def test_end_to_end_replay_heap(benchmark):
-    """Full-system replay on the legacy heap chain (the reference path)."""
-    model = PowerInfoModel(n_users=500, n_programs=100, days=3.0, seed=5)
-    trace = generate_trace(model)
-    config = SimulationConfig(neighborhood_size=60, warmup_days=0.5)
-    result = benchmark.pedantic(
-        run_simulation, args=(trace, config), kwargs={"engine": "heap"},
         rounds=1, iterations=1,
     )
     assert result.counters.sessions == len(trace)

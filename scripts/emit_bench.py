@@ -4,8 +4,9 @@
 Tracks the perf trajectory of the hot paths the engine and cache PRs
 rebuilt:
 
-* event-engine throughput -- the segment workload as a legacy heap
-  chain vs. as session arcs on the calendar queue;
+* event-engine throughput -- the segment workload as a heap chain
+  (the retried-admission walk) vs. as session arcs on the calendar
+  queue;
 * hourly-meter throughput -- hour-spanning vs. single-bucket intervals;
 * trace pipeline -- ``generate_trace`` on the python and (when
   importable) numpy backends, plus the sweep-worker share hand-off
@@ -17,10 +18,10 @@ rebuilt:
 * segment placement -- ``PlacementMap`` admissions and evictions in the
   churn-sweep shape, compared against the recorded heap-placement and
   level-FIFO (two-ledger) baselines;
-* end-to-end replay -- one full system run on each engine path (heap,
-  bucket, and -- when numpy is importable -- columnar), with drain
-  throughput reported as events/s per engine, and the bucket time
-  compared against the recorded inline-metering baseline;
+* end-to-end replay -- one full system run on each engine (bucket and
+  -- when numpy is importable -- columnar), with drain throughput
+  reported as events/s per engine, and the bucket time compared
+  against the recorded inline-metering baseline;
 * sweep wall-clock -- the same config sweep serial vs. multi-worker
   (with the worker count and CPU count recorded, since a single-CPU
   host cannot show parallel speedup);
@@ -325,7 +326,7 @@ def engine_heap_chain(sessions: int, segments: int) -> int:
 
     def chain(remaining):
         if remaining:
-            sim.after(300.0, chain, remaining - 1)
+            sim.at(sim.now + 300.0, chain, remaining - 1)
 
     for i in range(sessions):
         sim.at(float(i), chain, segments)
@@ -612,11 +613,9 @@ def main() -> int:
                            seed=5)
     trace = generate_trace(model)
     config = SimulationConfig(neighborhood_size=60, warmup_days=0.5)
-    heap_e2e = best_of(lambda: run_simulation(trace, config, engine="heap"),
-                       repeats=2)
     bucket_e2e = best_of(lambda: run_simulation(trace, config, engine="bucket"),
                          repeats=2)
-    # Drain throughput: all three engines process the identical event
+    # Drain throughput: both engines process the identical event
     # stream (the equivalence suite pins bit-identity), so events/s is
     # directly comparable across them.
     drain_events = run_simulation(trace, config, engine="bucket").events_processed
@@ -624,11 +623,8 @@ def main() -> int:
         "users": users,
         "days": days,
         "events": drain_events,
-        "heap_s": round(heap_e2e, 3),
         "bucket_s": round(bucket_e2e, 3),
-        "heap_events_per_s": round(drain_events / heap_e2e),
         "bucket_events_per_s": round(drain_events / bucket_e2e),
-        "speedup": round(heap_e2e / bucket_e2e, 2),
     }
     if columnar_supported():
         columnar_e2e = best_of(

@@ -20,9 +20,10 @@ policy engine:
 * :mod:`repro.cache.lru` / :mod:`repro.cache.lfu` /
   :mod:`repro.cache.oracle` / :mod:`repro.cache.global_lfu` -- the
   classic pre-engine implementations.  The oracle (schedule-driven,
-  future knowledge) still runs as-is; the others are retained as the
-  bit-identical references the equivalence tests
-  (:mod:`tests.cache.test_policy_engine`) compare the engine against.
+  future knowledge) still runs as-is; no spec builds the others any
+  more -- they remain only as the bit-identical references the
+  equivalence tests (:mod:`tests.cache.test_policy_engine`) compare
+  the engine against.
   :class:`~repro.cache.lfu.WindowedCounts` also remains the shared
   sliding-window count source the engine's frequency policies build on.
 * :mod:`repro.cache.segments` -- 5-minute segmentation and least-loaded

@@ -13,11 +13,12 @@ Every spec registers itself in the policy registry
 resolve that table dynamically, so adding a spec here is all it takes
 to make a strategy runnable everywhere.
 
-Default builds run on the policy engine
-(:class:`~repro.cache.policies.api.PolicyStrategy`); the paper-era
-specs also accept ``classic=True`` to build the original push-on-change
-implementations, kept as the bit-identical reference the equivalence
-tests compare against.
+Every build runs on the policy engine
+(:class:`~repro.cache.policies.api.PolicyStrategy`) -- except the
+oracle, which needs its future schedule.  The original push-on-change
+strategies (:mod:`repro.cache.lru`, :mod:`repro.cache.lfu`,
+:mod:`repro.cache.global_lfu`) are no longer reachable from a spec; the
+equivalence tests build them directly as the bit-identical reference.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import units
 from repro.cache.base import CacheStrategy, NullStrategy
-from repro.cache.global_lfu import GlobalLFUStrategy, GlobalPopularityFeed
+from repro.cache.global_lfu import GlobalPopularityFeed
 from repro.cache.lfu import LFUStrategy
-from repro.cache.lru import LRUStrategy
 from repro.cache.oracle import OracleStrategy
 from repro.cache.policies import (
     ARCEviction,
@@ -123,18 +123,11 @@ class NoCacheSpec(StrategySpec):
 class LRUSpec(StrategySpec):
     """Least-recently-used membership (paper section IV-B.2)."""
 
-    #: Build the pre-policy-engine implementation (equivalence reference).
-    classic: bool = False
-
     @property
     def label(self) -> str:
         return "lru"
 
     def build(self, inputs: BuildInputs) -> BuiltStrategies:
-        if self.classic:
-            return BuiltStrategies(
-                [LRUStrategy() for _ in range(inputs.n_neighborhoods)]
-            )
         return BuiltStrategies([
             PolicyStrategy(AlwaysAdmit(), LRUEviction())
             for _ in range(inputs.n_neighborhoods)
@@ -147,8 +140,6 @@ class LFUSpec(StrategySpec):
     """Sliding-window LFU (paper section IV-B.2, swept in Fig 11)."""
 
     history_hours: Optional[float] = LFUStrategy.DEFAULT_HISTORY_HOURS
-    #: Build the pre-policy-engine implementation (equivalence reference).
-    classic: bool = False
 
     @property
     def label(self) -> str:
@@ -157,10 +148,6 @@ class LFUSpec(StrategySpec):
         return f"lfu({self.history_hours:g}h)"
 
     def build(self, inputs: BuildInputs) -> BuiltStrategies:
-        if self.classic:
-            return BuiltStrategies(
-                [LFUStrategy(self.history_hours) for _ in range(inputs.n_neighborhoods)]
-            )
         return BuiltStrategies([
             PolicyStrategy(AlwaysAdmit(), LFUEviction(self.history_hours))
             for _ in range(inputs.n_neighborhoods)
@@ -213,8 +200,6 @@ class GlobalLFUSpec(StrategySpec):
 
     history_hours: Optional[float] = LFUStrategy.DEFAULT_HISTORY_HOURS
     lag_seconds: float = 0.0
-    #: Build the pre-policy-engine implementation (equivalence reference).
-    classic: bool = False
 
     uses_global_feed = True
 
@@ -232,20 +217,13 @@ class GlobalLFUSpec(StrategySpec):
             else self.history_hours * units.SECONDS_PER_HOUR
         )
         feed = GlobalPopularityFeed(window_seconds=window, lag_seconds=self.lag_seconds)
-        if self.classic:
-            strategies: List[CacheStrategy] = [
-                GlobalLFUStrategy(feed, neighborhood_id, self.history_hours)
-                for neighborhood_id in range(inputs.n_neighborhoods)
-            ]
-        else:
-            strategies = [
-                PolicyStrategy(
-                    AlwaysAdmit(),
-                    GlobalLFUEviction(feed, neighborhood_id, self.history_hours),
-                )
-                for neighborhood_id in range(inputs.n_neighborhoods)
-            ]
-        return BuiltStrategies(strategies, feed=feed)
+        return BuiltStrategies([
+            PolicyStrategy(
+                AlwaysAdmit(),
+                GlobalLFUEviction(feed, neighborhood_id, self.history_hours),
+            )
+            for neighborhood_id in range(inputs.n_neighborhoods)
+        ], feed=feed)
 
 
 @policy("gdsf", summary="size-aware frequency: small-and-popular wins")
@@ -365,16 +343,8 @@ class FrequencySketchSpec(StrategySpec):
 
 
 def _spec_fields(spec_class: type) -> List[dataclasses.Field]:
-    """The spec's tunable dataclass fields, in declaration order.
-
-    ``classic`` (the pre-engine reference build used by the equivalence
-    tests) is excluded exactly as the registry's parameter listing
-    excludes it: it selects an implementation, not a policy.
-    """
-    return [
-        field for field in dataclasses.fields(spec_class)
-        if field.init and field.name != "classic"
-    ]
+    """The spec's tunable dataclass fields, in declaration order."""
+    return [field for field in dataclasses.fields(spec_class) if field.init]
 
 
 def _coerce_arg(raw: str) -> object:
@@ -472,8 +442,7 @@ def spec_from_dict(payload: Dict[str, object]) -> StrategySpec:
         )
     params = dict(payload)
     info = get_policy(str(params.pop("name")))
-    valid = {field.name for field in dataclasses.fields(info.spec_class)
-             if field.init}
+    valid = {field.name for field in _spec_fields(info.spec_class)}
     unknown = sorted(set(params) - valid)
     if unknown:
         raise ConfigurationError(

@@ -19,11 +19,11 @@ Data structures
   by comparing against the live dicts.  Pops therefore always return the
   true minimum -- this is an exact LFU, not an approximation.
 
-:class:`LFUStrategy` is the *classic reference implementation*: the
-default build since PR 2 is the policy engine's
-:class:`~repro.cache.policies.eviction.LFUEviction` (same decisions,
-proven bit-identical in :mod:`tests.cache.test_policy_engine`, with a
-deferred dirty-set heap and compaction for the hot path).
+:class:`LFUStrategy` is the *classic reference implementation*: every
+spec builds the policy engine's
+:class:`~repro.cache.policies.eviction.LFUEviction` instead (same
+decisions, proven bit-identical in :mod:`tests.cache.test_policy_engine`,
+with a deferred dirty-set heap and compaction for the hot path).
 
 ``history_hours=0`` degenerates to LRU exactly as the paper states
 (Fig 11): every count has expired by decision time, so ordering reduces

@@ -45,9 +45,7 @@ class PolicyInfo:
         """``(field, default)`` pairs of the spec's dataclass surface."""
         params: List[Tuple[str, object]] = []
         for field in dataclasses.fields(self.spec_class):
-            if not field.init or field.name == "classic":
-                # ``classic`` selects the pre-engine reference build for
-                # the equivalence tests; it is not a tuning parameter.
+            if not field.init:
                 continue
             if field.default is not dataclasses.MISSING:
                 default = field.default

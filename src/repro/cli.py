@@ -117,10 +117,10 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         choices=ENGINE_CHOICES,
         help=(
             "event-engine override for the loaded file: columnar "
-            "(vectorized, needs numpy), bucket (scalar reference), heap "
-            "(legacy), auto (columnar when available, else bucket), or "
-            "python (alias for bucket). All engines produce bit-identical "
-            "results, so this only affects speed."
+            "(vectorized, needs numpy), bucket (scalar reference), auto "
+            "(columnar when available, else bucket), or python (alias "
+            "for bucket). Both engines produce bit-identical results, so "
+            "this only affects speed."
         ),
     )
 

@@ -18,11 +18,7 @@ from repro.core.config import SimulationConfig
 from repro.core.meter import HourlyMeter
 from repro.core.parallel import run_many
 from repro.core.results import SimulationCounters, SimulationResult
-from repro.core.runner import (
-    resolve_engine,
-    run_simulation,
-    set_default_engine,
-)
+from repro.core.runner import resolve_engine, run_simulation
 from repro.core.shard import run_sharded
 from repro.core.system import CableVoDSystem, columnar_supported
 
@@ -35,7 +31,6 @@ __all__ = [
     "run_many",
     "run_sharded",
     "resolve_engine",
-    "set_default_engine",
     "columnar_supported",
     "CableVoDSystem",
 ]

@@ -128,10 +128,9 @@ class SimulationTask:
     engine:
         Event-engine path forwarded to
         :func:`~repro.core.runner.run_simulation`; ``None`` (default)
-        lets the running process resolve it (override / ``REPRO_ENGINE``
-        / ``"bucket"``) -- and since
-        :func:`~repro.core.runner.set_default_engine` mirrors into the
-        environment, spawned pool workers resolve the same engine.
+        lets the running process resolve it (``REPRO_ENGINE``, then
+        ``"auto"``), which pool workers inherit from the parent's
+        environment.
     baselines:
         Names of baseline metrics (:data:`repro.baselines.registry`)
         to compute from this task's trace; the values come back in the

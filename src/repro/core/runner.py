@@ -1,14 +1,12 @@
 """Public simulation entry point and engine selection.
 
-Engine resolution mirrors the trace-backend gate
-(:mod:`repro.trace.synthetic`): an explicit argument wins, then a
-process-level override (:func:`set_default_engine`), then the
-``REPRO_ENGINE`` environment variable, then the scalar ``"bucket"``
-default.  Two convenience spellings resolve to concrete engines:
-``"auto"`` picks ``"columnar"`` when numpy is importable and falls back
-to ``"bucket"`` otherwise, and ``"python"`` (the same value the env var
-uses to force scalar execution) is an alias for ``"bucket"``.  All
-engines are bit-identical, so resolution only ever affects speed.
+Engine resolution: an explicit argument wins, then the
+``REPRO_ENGINE`` environment variable, then ``"auto"``.  Two
+convenience spellings resolve to concrete engines: ``"auto"`` picks
+``"columnar"`` when numpy is importable and falls back to ``"bucket"``
+otherwise, and ``"python"`` (the same value the env var uses to force
+scalar execution) is an alias for ``"bucket"``.  Both engines are
+bit-identical, so resolution only ever affects speed.
 """
 
 from __future__ import annotations
@@ -26,23 +24,18 @@ from repro.trace.records import Trace
 #: two aliases).
 ENGINE_CHOICES = ENGINE_MODES + ("auto", "python")
 
-_engine_override: Optional[str] = None
-_env_before_override: Optional[str] = None
-
 
 def resolve_engine(name: Optional[str] = None) -> str:
     """Resolve an engine request to a concrete ``ENGINE_MODES`` entry.
 
-    ``None`` falls through the override / ``REPRO_ENGINE`` / default
-    chain; any explicit name is validated.  ``"columnar"`` resolves to
+    ``None`` falls through to ``REPRO_ENGINE``, then to ``"auto"``; any
+    explicit name is validated.  ``"columnar"`` resolves to
     ``"bucket"`` when the gate is closed (numpy missing or
     ``REPRO_ENGINE=python``) -- a silent demotion, not an error, because
     the engines are bit-identical.
     """
     if name is None:
-        name = _engine_override
-    if name is None:
-        name = os.environ.get("REPRO_ENGINE") or "bucket"
+        name = os.environ.get("REPRO_ENGINE") or "auto"
     if name == "auto":
         return "columnar" if columnar_supported() else "bucket"
     if name == "python":
@@ -56,34 +49,6 @@ def resolve_engine(name: Optional[str] = None) -> str:
     return name
 
 
-def set_default_engine(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-default engine.
-
-    Mirrors :func:`repro.trace.synthetic.set_trace_backend`: the choice
-    is also written to ``REPRO_ENGINE`` so worker processes spawned for
-    parallel sweeps inherit it, and clearing restores whatever the
-    variable held before the first override.
-    """
-    global _engine_override, _env_before_override
-    if name is not None and name not in ENGINE_CHOICES:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; choose from {ENGINE_CHOICES}"
-        )
-    if name is None:
-        if _engine_override is not None:
-            if _env_before_override is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = _env_before_override
-        _engine_override = None
-        _env_before_override = None
-        return
-    if _engine_override is None:
-        _env_before_override = os.environ.get("REPRO_ENGINE")
-    _engine_override = name
-    os.environ["REPRO_ENGINE"] = name
-
-
 def run_simulation(trace: Trace, config: SimulationConfig,
                    engine: Optional[str] = None) -> SimulationResult:
     """Replay ``trace`` through a freshly built system under ``config``.
@@ -93,9 +58,8 @@ def run_simulation(trace: Trace, config: SimulationConfig,
     results (placement, strategies, and the event loop contain no
     unseeded randomness).  ``engine`` selects the event-engine path --
     ``"columnar"`` (vectorized schedule), ``"bucket"`` (tick-bucketed
-    session arcs, the default), ``"heap"`` (legacy per-segment heap
-    chain), or the ``"auto"``/``"python"`` aliases -- with ``None``
-    deferring to :func:`resolve_engine`'s override/env chain.  All
+    session arcs), or the ``"auto"``/``"python"`` aliases -- with
+    ``None`` deferring to :func:`resolve_engine`'s env/auto chain.  Both
     engines produce bit-identical results.
 
     Examples

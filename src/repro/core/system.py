@@ -42,13 +42,12 @@ from repro.trace.records import SessionRecord, Trace
 #: Engine selectors: ``"columnar"`` precomputes the event stream as
 #: numpy arrays, window by window (the fast path with numpy);
 #: ``"bucket"`` replays sessions as tick-bucketed arcs (the scalar
-#: reference and the fallback); ``"heap"`` is the
-#: legacy one-heap-event-per-segment chain, kept for equivalence
-#: testing.  All three produce bit-identical counters and meter buckets
-#: for the same trace/config.
-ENGINE_MODES = ("bucket", "heap", "columnar")
+#: reference, the fallback, and the chunked and live drains).  Both
+#: produce bit-identical counters and meter buckets for the same
+#: trace/config.
+ENGINE_MODES = ("bucket", "columnar")
 
-#: Deliveries the scalar engines log before folding them into counters
+#: Deliveries the bucket engine logs before folding them into counters
 #: and meters.  Bounds the log's memory on every drain; the fold is
 #: bit-identical at any value (tests/core/test_delivery_fold.py).
 FLUSH_ROWS = 4096
@@ -58,7 +57,7 @@ def columnar_supported() -> bool:
     """Whether the columnar engine can run in this interpreter.
 
     Mirrors the trace backend gate: ``REPRO_ENGINE=python`` forces the
-    scalar engines (the escape hatch the numpy-absent CI leg sets), and
+    scalar engine (the escape hatch the numpy-absent CI leg sets), and
     without numpy there is nothing to vectorize with.  When this is
     False a requested ``"columnar"`` engine silently demotes to
     ``"bucket"`` -- safe because the two are bit-identical.
@@ -261,64 +260,16 @@ class CableVoDSystem:
         return self._media_server
 
     # ------------------------------------------------------------------
-    # Event processes -- legacy heap chain
-    # ------------------------------------------------------------------
-
-    def _start_session(self, record: SessionRecord) -> None:
-        now = self._sim.now
-        neighborhood_id = self._user_neighborhood[record.user_id]
-        server = self._servers[neighborhood_id]
-        if self._feed is not None:
-            self._feed.record(now, record.program_id, neighborhood_id)
-        server.on_session_start(now, record.user_id, record.program_id)
-        # The viewer's own box holds one channel for the playback stream;
-        # the index server never denies a subscriber their own session.
-        server.box_of(record.user_id).open_stream(
-            now, record.duration_seconds, enforce_limit=False
-        )
-        self._request_segment(record, neighborhood_id, 0)
-
-    def _request_segment(self, record: SessionRecord, neighborhood_id: int,
-                         segment_index: int) -> None:
-        now = self._sim.now
-        end = record.end_time
-        watch = min(units.SEGMENT_SECONDS, end - now)
-        # Sub-millisecond trailing slivers are float accumulation noise
-        # from stepping in SEGMENT_SECONDS increments, not real requests.
-        if watch <= 1e-6:
-            return
-        self._deliver_segment(
-            now,
-            self._servers[neighborhood_id],
-            neighborhood_id,
-            record.user_id,
-            record.program_id,
-            segment_index,
-            watch,
-        )
-        last_segment = self._last_segment[record.program_id]
-        if segment_index < last_segment and end > now + units.SEGMENT_SECONDS + 1e-6:
-            self._sim.at(
-                now + units.SEGMENT_SECONDS,
-                self._request_segment,
-                record,
-                neighborhood_id,
-                segment_index + 1,
-            )
-
-    # ------------------------------------------------------------------
-    # Event processes -- tick-bucketed session arcs (fast path)
+    # Event processes -- tick-bucketed session arcs
     # ------------------------------------------------------------------
     #
     # A session's segment flow is fully determined at session start:
     # ``end_time`` and the program's segment count are fixed, so instead
-    # of rescheduling one heap event per segment the whole flow becomes
-    # one SessionArc walking the 5-minute bucket grid.  Per-session
-    # invariants (index server, neighborhood, last segment index) are hoisted
-    # into the arc's argument tuple once instead of being re-derived
-    # 100+ times per session.  Both paths execute the exact same
-    # delivery sequence in the exact same order -- see
-    # tests/core/test_engine_equivalence.py.
+    # of rescheduling one event per segment the whole flow becomes one
+    # SessionArc walking the 5-minute bucket grid.  Per-session
+    # invariants (index server, neighborhood, last segment index) are
+    # hoisted into the arc's argument tuple once instead of being
+    # re-derived 100+ times per session.
 
     def _start_session_fast(self, record: SessionRecord) -> None:
         args = self._open_session(record)
@@ -327,7 +278,7 @@ class CableVoDSystem:
             sim.start_arc(sim.now + units.SEGMENT_SECONDS, self._arc_step, *args)
 
     def _open_session(self, record: SessionRecord):
-        """Shared session-start prologue (both continuation flavors).
+        """Shared session-start prologue (arc and retry walks).
 
         Opens the viewer stream, delivers the first segment, and returns
         the continuation argument tuple for the remaining segments --
@@ -361,7 +312,7 @@ class CableVoDSystem:
                     last_segment)
         return None
 
-    def _start_session_heap(self, record: SessionRecord) -> None:
+    def _start_retried_session(self, record: SessionRecord) -> None:
         """Session start whose segment walk runs on the heap, not an arc.
 
         Retried (deferred) live admissions fire from heap events, which
@@ -373,13 +324,13 @@ class CableVoDSystem:
         args = self._open_session(record)
         if args is not None:
             sim = self._sim
-            sim.at(sim.now + units.SEGMENT_SECONDS, self._heap_step, 0, *args)
+            sim.at(sim.now + units.SEGMENT_SECONDS, self._retry_step, 0, *args)
 
-    def _heap_step(self, index: int, *args) -> None:
+    def _retry_step(self, index: int, *args) -> None:
         """One heap-driven segment step; reschedules itself while live."""
         sim = self._sim
         if self._arc_step(sim.now, index, *args):
-            sim.at(sim.now + units.SEGMENT_SECONDS, self._heap_step,
+            sim.at(sim.now + units.SEGMENT_SECONDS, self._retry_step,
                    index + 1, *args)
 
     def _arc_step(self, now: float, index: int, server, neighborhood: int,
@@ -400,7 +351,7 @@ class CableVoDSystem:
     def _deliver_segment(self, now: float, server, neighborhood: int,
                          user_id: int, program_id: int, segment_index: int,
                          watch: float) -> None:
-        """Route one segment delivery and log its outcome (scalar engines).
+        """Route one segment delivery and log its outcome (bucket engine).
 
         Nothing is counted or metered here: the outcome code joins the
         delivery log, and :meth:`_flush` folds every ``FLUSH_ROWS``
@@ -498,10 +449,9 @@ class CableVoDSystem:
         """Replay the session stream and collect the results.
 
         With ``chunks=None`` the system's own trace is replayed: the
-        columnar engine walks its precomputed schedule, the bucket
-        engine preloads the start storm as calendar slabs, the heap
-        engine schedules one event per record.  Otherwise ``chunks``
-        yields :class:`~repro.trace.streaming.TraceChunk`-shaped objects
+        columnar engine walks its precomputed schedule and the bucket
+        engine preloads the start storm as calendar slabs.  Otherwise
+        ``chunks`` yields :class:`~repro.trace.streaming.TraceChunk`-shaped objects
         (ascending, non-overlapping) with O(chunk) resident records:
         per chunk the clock first drains to just below the chunk's
         window start -- the horizon-aware run leaves every later bucket
@@ -563,19 +513,14 @@ class CableVoDSystem:
                                        max(r.end_time for r in records))
                     sim.extend_starts(chunk.start_times, callback, records)
             else:
+                # The trace's chronological invariant makes the whole
+                # start storm one slab preload: per-bucket slices of the
+                # trace's own columns, no per-session registration in
+                # the drain loop.  Bit-identical to an at() loop over
+                # the records (tests/sim/test_tickqueue.py).
                 end_time = self._trace.end_time
-                if self._engine == "bucket":
-                    # The trace's chronological invariant makes the whole
-                    # start storm one slab preload: per-bucket slices of
-                    # the trace's own columns, no per-session
-                    # registration in the drain loop.  Bit-identical to
-                    # an at_fast() loop over the records
-                    # (tests/core/test_engine_equivalence.py).
-                    sim.preload_starts(self._trace.start_times, callback,
-                                       self._trace.records)
-                else:
-                    for record in self._trace:
-                        sim.at(record.start_time, self._start_session, record)
+                sim.preload_starts(self._trace.start_times, callback,
+                                   self._trace.records)
             sim.run()
             events_processed = sim.events_processed
         result = self._build_result(events_processed, end_time, started)
@@ -608,7 +553,7 @@ class CableVoDSystem:
             # that can run behind the activated front bucket, so their
             # segment walk stays on the heap.
             if attempts:
-                self._start_session_heap(record)
+                self._start_retried_session(record)
             else:
                 self._start_session_fast(record)
         elif action == "defer":
@@ -679,9 +624,9 @@ class CableVoDSystem:
         collects one outcome code per delivery.  Everything derivable
         from the code stream (per-neighborhood hit/miss counters, every
         hourly meter bucket, server deliveries) is then computed by
-        :meth:`_fold` once per window, the same fold the scalar engines
-        run over their delivery log, keeping the engine bit-for-bit
-        equal to ``bucket``/``heap`` (tests/core/test_engine_equivalence.py).
+        :meth:`_fold` once per window, the same fold the bucket engine
+        runs over its delivery log, keeping the engine bit-for-bit
+        equal to ``bucket`` (tests/core/test_engine_equivalence.py).
         """
         import numpy as np
 

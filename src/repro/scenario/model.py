@@ -164,10 +164,10 @@ class Scenario:
     config:
         Deployment and policy knobs (neighborhood, storage, strategy).
     engine:
-        Event-engine path: ``"bucket"`` (default), ``"heap"``, or
-        ``"columnar"`` (vectorized; silently falls back to ``bucket``
-        when numpy is unavailable).  All are bit-identical, so the
-        choice only affects speed.
+        Event-engine path: ``"bucket"`` (default; the only engine live
+        and streamed replays drain on) or ``"columnar"`` (vectorized;
+        silently falls back to ``bucket`` when numpy is unavailable).
+        Both are bit-identical, so the choice only affects speed.
     seed:
         Optional workload-seed override; ``None`` uses ``trace.seed``.
         Sweeping this axis re-runs one scenario over fresh workloads.

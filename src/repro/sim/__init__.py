@@ -4,10 +4,9 @@ A small, deterministic discrete-event core in the style of SimPy's event
 loop but purpose-built for trace-driven network simulations:
 
 * :class:`~repro.sim.engine.Simulator` -- the event loop: schedule
-  callbacks at absolute or relative simulated times and run until the
-  queue drains (or until a horizon).
-* :class:`~repro.sim.events.Event` -- a scheduled callback with stable
-  FIFO tie-breaking so runs are reproducible.
+  callbacks at absolute simulated times, preload or extend the
+  session-start storm, and run until the queues drain (or until a
+  horizon).
 * :class:`~repro.sim.tickqueue.TickBucketQueue` /
   :class:`~repro.sim.tickqueue.SessionArc` -- the tick-bucketed fast
   path for the per-segment event storm: O(1) tuple-slab scheduling and
@@ -18,14 +17,11 @@ loop but purpose-built for trace-driven network simulations:
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
 from repro.sim.random_streams import RandomStreams
 from repro.sim.tickqueue import SessionArc, TickBucketQueue
 
 __all__ = [
     "Simulator",
-    "Event",
-    "EventQueue",
     "RandomStreams",
     "SessionArc",
     "TickBucketQueue",

@@ -28,8 +28,8 @@ Ordering contract (must match :mod:`repro.sim.engine` +
 
 * global firing order is lexicographic ``(time, seq)``;
 * session start ``i`` (record ``i`` of the sorted trace) has
-  ``seq == i`` (``preload_sorted`` rebases the shared counter past the
-  slab);
+  ``seq == i`` (``Simulator.preload_starts`` rebases the shared
+  counter past the slab);
 * every event that *deposits* a continuation draws the next counter
   value for its child at its own firing -- so arc-event seqs depend on
   how starts and continuations interleave.

@@ -2,20 +2,21 @@
 
 :class:`Simulator` owns the clock and two complementary event stores:
 
-* a binary heap (:class:`~repro.sim.events.EventQueue`) for arbitrary
-  events scheduled with :meth:`Simulator.at` / :meth:`Simulator.after`,
-  which return cancellable :class:`~repro.sim.events.Event` handles;
+* a binary heap of ``(time, seq, callback, args)`` tuples for events
+  scheduled with :meth:`Simulator.at` (live admission retries and the
+  segment walks of retried sessions);
 * a tick-bucketed calendar queue
   (:class:`~repro.sim.tickqueue.TickBucketQueue`) for the hot path:
-  fire-and-forget entries (:meth:`Simulator.at_fast`) and *session
-  arcs* (:meth:`Simulator.start_arc`) whose steps land on the fixed
+  session-start slabs (:meth:`Simulator.preload_starts`,
+  :meth:`Simulator.extend_starts`) and *session arcs*
+  (:meth:`Simulator.start_arc`) whose steps land on the fixed
   ``SEGMENT_SECONDS`` grid.  These are stored as plain tuples -- no
   per-event object allocation, no per-event heap sift.
 
 Both stores draw sequence numbers from one shared counter and the run
 loop merges them by ``(time, seq)``, so the execution order is exactly
 what a single global heap would produce: chronological with FIFO
-tie-breaking within an instant.  A simulation may freely mix both APIs.
+tie-breaking within an instant.
 
 Design notes
 ------------
@@ -25,18 +26,18 @@ Design notes
 * The engine is callback-based rather than coroutine-based.  Trace-driven
   simulations are dominated by millions of tiny events (one per video
   segment); plain callbacks avoid generator overhead and keep per-event
-  cost to a couple of dict operations.
-* ``run(until=...)`` supports horizons so experiments can meter a warm
-  window and stop.
-* When the whole event schedule is *static* -- nothing cancels or
-  reschedules anything, as in trace replay -- the drain loop itself can
-  be skipped: :mod:`repro.sim.columnar` precomputes the
-  ``(time, seq)``-ordered event stream as flat arrays, one window of
-  tick buckets at a time (including the exact sequence numbers this
-  engine's shared counter would assign), which is what
-  ``engine="columnar"`` walks instead of running this loop.  The ordering contract documented here is therefore load-
-  bearing for that module too: any change to the merge rule or the
-  counter discipline must be mirrored there.
+  cost to a couple of list operations.
+* ``run(until=...)`` supports horizons, which the streamed replay uses
+  to drain up to each chunk boundary.
+* When the whole event schedule is *static*, as in trace replay
+  without admission, the drain loop itself can be skipped:
+  :mod:`repro.sim.columnar` precomputes the ``(time, seq)``-ordered
+  event stream as flat arrays, one window of tick buckets at a time
+  (including the exact sequence numbers this engine's shared counter
+  would assign), which is what ``engine="columnar"`` walks instead of
+  running this loop.  The ordering contract documented here is
+  therefore load-bearing for that module too: any change to the merge
+  rule or the counter discipline must be mirrored there.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventCallback, EventQueue
-from repro.sim.tickqueue import DEFAULT_TICK_SECONDS, SessionArc, TickBucketQueue
+from repro.sim.tickqueue import SessionArc, TickBucketQueue
+from repro.units import SEGMENT_SECONDS
+
+#: Signature of an event callback: receives the scheduled arguments.
+EventCallback = Callable[..., None]
 
 
 class Simulator:
@@ -58,17 +62,13 @@ class Simulator:
     ----------
     start_time:
         Initial clock value in simulated seconds (default ``0.0``).
-    tick_seconds:
-        Bucket width of the calendar queue (default: the 5-minute
-        segment grid).  Only affects the fast path's storage layout,
-        never execution order.
 
     Examples
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.after(10.0, fired.append, "a")
-    >>> _ = sim.at(5.0, fired.append, "b")
+    >>> sim.at(10.0, fired.append, "a")
+    >>> sim.at(5.0, fired.append, "b")
     >>> sim.run()
     >>> fired
     ['b', 'a']
@@ -76,20 +76,24 @@ class Simulator:
     10.0
     """
 
-    __slots__ = ("_now", "_queue", "_buckets", "_events_processed",
-                 "_running", "_start_seq")
+    __slots__ = ("_now", "_heap", "_counter", "_buckets",
+                 "_events_processed", "_running", "_start_seq")
 
-    def __init__(self, start_time: float = 0.0,
-                 tick_seconds: float = DEFAULT_TICK_SECONDS) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        counter = itertools.count()
-        self._queue = EventQueue(counter)
-        self._buckets = TickBucketQueue(counter, tick_seconds)
+        self._heap: list = []
+        self._counter = itertools.count()
+        self._buckets = TickBucketQueue(self._counter)
         self._events_processed = 0
         self._running = False
         #: Next session-start sequence number handed to extend_starts
         #: (streamed replay keeps starts in a low band, see below).
         self._start_seq = 0
+
+    def _rebase(self, start: int) -> None:
+        """Restart the shared sequence counter at ``start``."""
+        self._counter = itertools.count(start)
+        self._buckets._counter = self._counter
 
     # ------------------------------------------------------------------
     # Clock
@@ -105,21 +109,11 @@ class Simulator:
         """Total number of events executed so far (diagnostics)."""
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live events still scheduled (heap + buckets)."""
-        return len(self._queue) + len(self._buckets)
-
-    @property
-    def tick_seconds(self) -> float:
-        """Width of one calendar-queue bucket."""
-        return self._buckets.width
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
 
-    def at(self, time: float, callback: EventCallback, *args: Any) -> Event:
+    def at(self, time: float, callback: EventCallback, *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Raises
@@ -132,32 +126,7 @@ class Simulator:
                 f"cannot schedule event at t={time:.6f}, clock is already "
                 f"at t={self._now:.6f}"
             )
-        return self._queue.push(time, callback, *args)
-
-    def after(self, delay: float, callback: EventCallback, *args: Any) -> Event:
-        """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self._queue.push(self._now + delay, callback, *args)
-
-    def at_fast(self, time: float, callback: EventCallback, *args: Any) -> None:
-        """Schedule ``callback(*args)`` at ``time`` without a cancel handle.
-
-        O(1) append into a calendar bucket instead of a heap sift, with
-        no :class:`Event` allocation.  Execution order relative to every
-        other event is identical to :meth:`at`.  Times that fall inside
-        the bucket currently draining fall back to the heap (the bucket
-        walk never revisits a sorted bucket).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time:.6f}, clock is already "
-                f"at t={self._now:.6f}"
-            )
-        if self._buckets.accepts(time):
-            self._buckets.push(time, callback, args)
-        else:
-            self._queue.push(time, callback, *args)
+        _heappush(self._heap, (time, next(self._counter), callback, args))
 
     def preload_starts(self, times: Any, callback: EventCallback,
                        payloads: Any) -> None:
@@ -166,21 +135,21 @@ class Simulator:
         The canonical caller is trace replay: one session-start per
         record, every record already sorted by start time.  The whole
         column becomes per-tick slabs in the calendar queue
-        (:meth:`TickBucketQueue.preload_sorted`) -- no per-event tuple,
+        (:meth:`TickBucketQueue.extend_sorted`) -- no per-event tuple,
         dict probe or counter draw until each bucket is reached -- and
         the shared sequence counter is rebased past the preloaded
         count, so execution order is bit-identical to scheduling each
-        start through :meth:`at_fast` in column order.
+        start through :meth:`at` in column order.
 
         Raises
         ------
         SimulationError
-            If the simulator is not fresh (anything already executed,
-            pending, or cancelled-in-place would race the preloaded
-            sequence numbers), if a start precedes the current clock,
-            or if the column is not ascending.
+            If the simulator is not fresh (anything already executed or
+            pending would race the preloaded sequence numbers), if a
+            start precedes the current clock, or if the column is not
+            ascending.
         """
-        if self._events_processed or len(self._queue):
+        if self._events_processed or self._heap or not self._buckets.fresh:
             raise SimulationError(
                 "preload_starts requires a fresh simulator (no events "
                 "executed or pending)"
@@ -191,15 +160,13 @@ class Simulator:
                 f"already at t={self._now:.6f}"
             )
         try:
-            n = self._buckets.preload_sorted(times, payloads, callback)
+            n = self._buckets.extend_sorted(times, payloads, callback, 0)
         except ValueError as error:
-            # The queue owns the slab invariants (fresh slab storage,
-            # equal columns, ascending times); surface violations under
-            # the engine's error type like every other scheduling bug.
+            # The queue owns the slab invariants (equal columns,
+            # ascending times); surface violations under the engine's
+            # error type like every other scheduling bug.
             raise SimulationError(str(error)) from None
-        counter = itertools.count(n)
-        self._queue._counter = counter
-        self._buckets._counter = counter
+        self._rebase(n)
 
     #: Sequence band for dynamically scheduled events under streamed
     #: replay.  extend_starts() cannot know the total record count up
@@ -244,14 +211,13 @@ class Simulator:
                 f"is already at t={self._now:.6f}"
             )
         if self._start_seq == 0:
-            if self._events_processed or len(self._queue) or len(self._buckets):
+            if (self._events_processed or self._heap
+                    or not self._buckets.fresh):
                 raise SimulationError(
                     "extend_starts requires a fresh simulator for the "
                     "first chunk (no events executed or pending)"
                 )
-            counter = itertools.count(self._STREAM_DYNAMIC_SEQ)
-            self._queue._counter = counter
-            self._buckets._counter = counter
+            self._rebase(self._STREAM_DYNAMIC_SEQ)
         try:
             n = self._buckets.extend_sorted(times, payloads, callback,
                                             self._start_seq)
@@ -263,7 +229,7 @@ class Simulator:
         """Register a session arc whose first step fires at ``time``.
 
         The engine calls ``fn(now, index, *args)`` at ``time`` and then
-        every :attr:`tick_seconds` for as long as ``fn`` returns truthy;
+        every ``SEGMENT_SECONDS`` for as long as ``fn`` returns truthy;
         ``index`` counts steps from 0.  The whole arc costs one
         registration plus one tuple append per step -- the pattern for
         "one event per video segment until the viewer stops".
@@ -285,14 +251,6 @@ class Simulator:
                 f"draining; schedule the first step at least one tick ahead"
             )
         return self._buckets.start_arc(time, fn, args)
-
-    def cancel(self, event: Event) -> None:
-        """Retract a scheduled event before it fires (idempotent)."""
-        self._queue.cancel(event)
-
-    def cancel_arc(self, arc: SessionArc) -> None:
-        """Retract an in-flight session arc (idempotent)."""
-        self._buckets.cancel_arc(arc)
 
     # ------------------------------------------------------------------
     # Execution
@@ -327,13 +285,12 @@ class Simulator:
             # `front`/`pos` and is only written back when the front
             # bucket changes or the loop exits, and arc continuation
             # appends straight into the target bucket.
-            queue = self._queue
             buckets = self._buckets
-            heap = queue._heap
+            heap = self._heap
             bucket_map = buckets._buckets
             tick_heap = buckets._tick_heap
-            counter = buckets._counter
-            width = buckets.width
+            counter = self._counter
+            width = SEGMENT_SECONDS
             heappop = _heappop
             heappush = _heappush
             processed = 0
@@ -342,8 +299,8 @@ class Simulator:
             front_len = len(front) if front is not None else 0
             # The bucket one tick past the front, pre-created so arc
             # continuations are a bounds check + append.  Safe because a
-            # front bucket never grows once activated (deposits into it
-            # are routed to the heap) and arcs step exactly one tick.
+            # front bucket never grows once activated (arcs only start
+            # in later buckets) and arcs step exactly one tick.
             next_lo = next_hi = -1.0
             next_bucket: Optional[list] = None
             try:
@@ -382,25 +339,13 @@ class Simulator:
                                 front_len = 0
                                 next_bucket = None
                                 next_lo = next_hi = -1.0
-                    if heap:
-                        while heap and heap[0][2].cancelled:
-                            heappop(heap)
-                        if front is not None and pos < len(front):
-                            entry = front[pos]
-                            if heap:
-                                head = heap[0]
-                                use_bucket = (entry[0] < head[0]
-                                              or (entry[0] == head[0]
-                                                  and entry[1] < head[1]))
-                            else:
-                                use_bucket = True
-                        else:
-                            if not heap:
-                                break
-                            use_bucket = False
-                    elif front is not None and pos < len(front):
+                    # Both entry shapes open with (time, seq) and seqs
+                    # are unique, so tuple comparison is the merge rule.
+                    if pos < front_len:
                         entry = front[pos]
-                        use_bucket = True
+                        use_bucket = not heap or entry < heap[0]
+                    elif heap:
+                        use_bucket = False
                     else:
                         break
 
@@ -409,30 +354,24 @@ class Simulator:
                         if time > limit:
                             break
                         pos += 1
+                        self._now = time
+                        processed += 1
                         if len(entry) == 3:
                             arc = entry[2]
-                            if not arc.active:
-                                continue  # lazily-deleted cancelled step
-                            arc.pending = False
-                            buckets._live -= 1
-                            self._now = time
-                            processed += 1
                             index = arc.index
                             arc.index = index + 1
-                            if arc.fn(time, index, *arc.args) and arc.active:
-                                # Inlined _deposit() of the next step.  An
+                            if arc.fn(time, index, *arc.args):
+                                # Inlined deposit of the next step.  An
                                 # arc steps exactly one tick, so nearly
                                 # every deposit lands in the cached
                                 # next-door bucket; float rounding can
                                 # (rarely) push it one further, handled
                                 # by the general branch.
                                 next_time = time + width
-                                arc.time = next_time
-                                arc.pending = True
                                 if next_lo <= next_time < next_hi:
                                     if next_bucket is None:
                                         # A callback may have created
-                                        # this bucket via at_fast()
+                                        # this bucket via start_arc()
                                         # since activation cached it.
                                         next_bucket = bucket_map.get(next_tick)
                                         if next_bucket is None:
@@ -454,24 +393,16 @@ class Simulator:
                                         bucket.append(
                                             (next_time, next(counter), arc)
                                         )
-                                buckets._live += 1
-                            else:
-                                arc.active = False
                         else:
-                            buckets._live -= 1
-                            self._now = time
-                            processed += 1
                             entry[2](*entry[3])
                     else:
-                        head = heap[0]
-                        time = head[0]
+                        time = heap[0][0]
                         if time > limit:
                             break
-                        heappop(heap)
-                        queue._live -= 1
+                        _, _, callback, args = heappop(heap)
                         self._now = time
                         processed += 1
-                        head[2].fire()
+                        callback(*args)
             finally:
                 buckets._front_pos = pos
                 self._events_processed += processed

@@ -12,6 +12,7 @@ from repro.cache.factory import (
     NoCacheSpec,
     OracleSpec,
     ThresholdSpec,
+    spec_from_dict,
     spec_from_name,
 )
 from repro.cache.global_lfu import GlobalLFUStrategy
@@ -25,6 +26,8 @@ from repro.cache.policies import (
     PolicyStrategy,
 )
 from repro.errors import ConfigurationError
+
+from tests.cache.helpers import ClassicSpec
 
 
 class TestBuild:
@@ -41,7 +44,7 @@ class TestBuild:
         assert built.strategies[0].eviction is not built.strategies[1].eviction
 
     def test_lru_classic_builds_reference_implementation(self):
-        built = LRUSpec(classic=True).build(BuildInputs(n_neighborhoods=2))
+        built = ClassicSpec(LRUSpec()).build(BuildInputs(n_neighborhoods=2))
         assert all(isinstance(s, LRUStrategy) for s in built.strategies)
 
     def test_lfu_passes_history(self):
@@ -50,7 +53,7 @@ class TestBuild:
         assert isinstance(built.strategies[0].eviction, LFUEviction)
 
     def test_lfu_classic_builds_reference_implementation(self):
-        built = LFUSpec(classic=True).build(BuildInputs(n_neighborhoods=1))
+        built = ClassicSpec(LFUSpec()).build(BuildInputs(n_neighborhoods=1))
         assert isinstance(built.strategies[0], LFUStrategy)
 
     def test_oracle_requires_futures(self):
@@ -78,7 +81,7 @@ class TestBuild:
         assert all(s.eviction._feed is built.feed for s in built.strategies)
 
     def test_global_lfu_classic_shares_feed(self):
-        built = GlobalLFUSpec(lag_seconds=60.0, classic=True).build(
+        built = ClassicSpec(GlobalLFUSpec(lag_seconds=60.0)).build(
             BuildInputs(n_neighborhoods=2)
         )
         assert all(isinstance(s, GlobalLFUStrategy) for s in built.strategies)
@@ -118,6 +121,12 @@ class TestSpecFromName:
         assert isinstance(spec_from_name("gdsf"), GDSFSpec)
         assert isinstance(spec_from_name("arc"), ARCSpec)
         assert isinstance(spec_from_name("threshold"), ThresholdSpec)
+
+    def test_classic_is_not_a_parameter(self):
+        with pytest.raises(ConfigurationError):
+            spec_from_name("lfu:classic=1")
+        with pytest.raises(ConfigurationError):
+            spec_from_dict({"name": "lfu", "classic": True})
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ConfigurationError, match="lru"):

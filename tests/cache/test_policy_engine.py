@@ -3,12 +3,13 @@
 PR 2's refactor moved the paper's strategies onto the composable
 admission/eviction engine and gave LFU a deferred, compacted heap.
 That is only admissible because it changes *nothing* observable: the
-classic implementations are kept (``classic=True`` on the specs) as the
-trusted reference, and these tests drive both through identical access
-streams and full simulator runs, asserting byte-for-byte equal
-membership decisions, counters and hourly meter buckets -- the same
-discipline :mod:`tests.core.test_engine_equivalence` applies to the
-event engine.
+classic implementations are kept as the trusted reference (built
+through the test-local :class:`~tests.cache.helpers.ClassicSpec`; no
+registered spec builds them), and these tests drive both through
+identical access streams and full simulator runs, asserting
+byte-for-byte equal membership decisions, counters and hourly meter
+buckets -- the same discipline :mod:`tests.core.test_engine_equivalence`
+applies to the event engine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.cache.policies import (
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 
-from tests.cache.helpers import bind
+from tests.cache.helpers import ClassicSpec, bind
 
 
 def _stream(seed, n=600, programs=40, max_gap=900):
@@ -97,12 +98,12 @@ class TestFullRunEquivalence:
     @pytest.mark.parametrize(
         "spec_pair",
         [
-            (LRUSpec(classic=True), LRUSpec()),
-            (LFUSpec(classic=True), LFUSpec()),
-            (LFUSpec(history_hours=6.0, classic=True), LFUSpec(history_hours=6.0)),
-            (GlobalLFUSpec(classic=True), GlobalLFUSpec()),
+            (ClassicSpec(LRUSpec()), LRUSpec()),
+            (ClassicSpec(LFUSpec()), LFUSpec()),
+            (ClassicSpec(LFUSpec(history_hours=6.0)), LFUSpec(history_hours=6.0)),
+            (ClassicSpec(GlobalLFUSpec()), GlobalLFUSpec()),
             (
-                GlobalLFUSpec(lag_seconds=1800.0, classic=True),
+                ClassicSpec(GlobalLFUSpec(lag_seconds=1800.0)),
                 GlobalLFUSpec(lag_seconds=1800.0),
             ),
         ],
@@ -129,7 +130,7 @@ class TestFullRunEquivalence:
                     == reference.upstream_meters[key].buckets())
 
     def test_classic_flag_builds_the_classic_classes(self):
-        classic = LFUSpec(classic=True).build(BuildInputs(n_neighborhoods=1))
+        classic = ClassicSpec(LFUSpec()).build(BuildInputs(n_neighborhoods=1))
         engine = LFUSpec().build(BuildInputs(n_neighborhoods=1))
         assert isinstance(classic.strategies[0], LFUStrategy)
         assert isinstance(engine.strategies[0], PolicyStrategy)

@@ -1,7 +1,7 @@
 """Golden digests of every drain: one sha256 per strategy x path.
 
-Every way to drive a replay -- the ``bucket``, ``heap`` and
-``columnar`` engines, a streamed chunk replay, a 2-shard split, and
+Every way to drive a replay -- the ``bucket`` and ``columnar``
+engines, a streamed chunk replay, a 2-shard split, and
 live admission with a no-op and with an active controller -- must keep
 producing the same :func:`bench.checks.result_digest` for every
 registered cache strategy that supports it (a future-knowledge strategy
@@ -94,8 +94,6 @@ def _streamed(model, config):
 DRAINS = {
     "bucket": lambda model, config: CableVoDSystem(
         _trace(model), config, engine="bucket").run(),
-    "heap": lambda model, config: CableVoDSystem(
-        _trace(model), config, engine="heap").run(),
     "columnar": lambda model, config: CableVoDSystem(
         _trace(model), config, engine="columnar").run(),
     "streamed": _streamed,

@@ -3,9 +3,9 @@
 The perf rebuilds (session arcs + calendar buckets + meter fast path,
 and now the columnar precomputed-schedule engine) are only admissible
 because they change *nothing* observable: same trace + config must
-yield byte-for-byte equal counters and hourly meter buckets on all
-engines, and the parallel sweep runner must reproduce the serial rows
-exactly.  The columnar engine additionally must fall back to ``bucket``
+yield byte-for-byte equal counters and hourly meter buckets on both
+engines and on the retried-admission heap walk, and the parallel sweep
+runner must reproduce the serial rows exactly.  The columnar engine additionally must fall back to ``bucket``
 bit-identically (trivially, since they are equal) when numpy is absent
 or ``REPRO_ENGINE=python`` closes the gate.
 """
@@ -20,7 +20,7 @@ from repro.cache.factory import LFUSpec, LRUSpec, OracleSpec, spec_from_name
 from repro.cache.policies import policy_names
 from repro.core.config import SimulationConfig
 from repro.core.parallel import run_many
-from repro.core.runner import resolve_engine, run_simulation, set_default_engine
+from repro.core.runner import resolve_engine, run_simulation
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.system import CableVoDSystem, columnar_supported
 from repro.trace.synthetic import PowerInfoModel, generate_trace
@@ -47,12 +47,24 @@ def assert_identical(a, b):
         assert a.upstream_meters[key].buckets() == b.upstream_meters[key].buckets()
 
 
+def run_on_retry_walk(trace, config):
+    """Replay with every session start on the retried-admission heap walk.
+
+    Live admission sends a deferred session's segments through
+    ``sim.at`` one step at a time instead of a bucket arc; routing every
+    start there makes that walk the heap reference for the arc walk.
+    """
+    system = CableVoDSystem(trace, config, engine="bucket")
+    system._start_session_fast = system._start_retried_session
+    return system.run()
+
+
 class TestHeapBucketEquivalence:
     @pytest.mark.parametrize("strategy", [LFUSpec(), LRUSpec(), OracleSpec()],
                              ids=["lfu", "lru", "oracle"])
     def test_same_seed_same_results(self, tiny_trace, strategy):
         config = _config(strategy)
-        heap = run_simulation(tiny_trace, config, engine="heap")
+        heap = run_on_retry_walk(tiny_trace, config)
         bucket = run_simulation(tiny_trace, config, engine="bucket")
         assert_identical(heap, bucket)
 
@@ -60,8 +72,9 @@ class TestHeapBucketEquivalence:
         with pytest.raises(SimulationError):
             CableVoDSystem(tiny_trace, _config(), engine="quantum")
 
-    def test_default_engine_is_bucket(self, tiny_trace, monkeypatch):
+    def test_default_engine_is_auto(self, tiny_trace, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine() == resolve_engine("auto")
         config = _config()
         default = run_simulation(tiny_trace, config)
         bucket = run_simulation(tiny_trace, config, engine="bucket")
@@ -69,7 +82,7 @@ class TestHeapBucketEquivalence:
 
 
 class TestColumnarEquivalence:
-    """The columnar engine against both scalar references.
+    """The columnar engine against the arc and heap walks.
 
     Runs only where the gate is open (numpy importable and
     ``REPRO_ENGINE`` not forcing python) -- on the numpy-absent CI leg
@@ -81,7 +94,7 @@ class TestColumnarEquivalence:
         if not columnar_supported():
             pytest.skip("columnar gate closed (no numpy or REPRO_ENGINE=python)")
         config = _config(spec_from_name(policy))
-        heap = run_simulation(tiny_trace, config, engine="heap")
+        heap = run_on_retry_walk(tiny_trace, config)
         bucket = run_simulation(tiny_trace, config, engine="bucket")
         columnar = run_simulation(tiny_trace, config, engine="columnar")
         assert_identical(heap, bucket)
@@ -184,13 +197,14 @@ class TestColumnarFallback:
 class TestEngineResolution:
     def test_default_chain(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine() == "bucket"
-        assert resolve_engine("heap") == "heap"
+        assert resolve_engine() == ("columnar" if columnar_supported()
+                                    else "bucket")
+        assert resolve_engine("bucket") == "bucket"
         assert resolve_engine("python") == "bucket"
 
     def test_env_variable_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert resolve_engine() == "heap"
+        monkeypatch.setenv("REPRO_ENGINE", "bucket")
+        assert resolve_engine() == "bucket"
         monkeypatch.setenv("REPRO_ENGINE", "columnar")
         assert resolve_engine() == ("columnar" if columnar_supported()
                                     else "bucket")
@@ -209,30 +223,7 @@ class TestEngineResolution:
         with pytest.raises(ConfigurationError):
             resolve_engine("quantum")
         with pytest.raises(ConfigurationError):
-            set_default_engine("quantum")
-
-    def test_set_default_engine_mirrors_env_and_restores(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        try:
-            set_default_engine("bucket")
-            assert os.environ["REPRO_ENGINE"] == "bucket"
-            assert resolve_engine() == "bucket"
-            set_default_engine("auto")
-            assert os.environ["REPRO_ENGINE"] == "auto"
-            assert resolve_engine() in ("columnar", "bucket")
-        finally:
-            set_default_engine(None)
-        assert os.environ["REPRO_ENGINE"] == "heap"
-        assert resolve_engine() == "heap"
-
-    def test_clearing_without_override_is_a_noop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        set_default_engine(None)
-        import os
-
-        assert os.environ["REPRO_ENGINE"] == "heap"
+            resolve_engine("heap")
 
 
 class TestColumnarInternals:

@@ -205,7 +205,6 @@ class TestOneReplayPerSystem:
         assert first.server_meters[0].buckets() == buckets
 
     @pytest.mark.parametrize("engine, refused", [
-        ("heap", "chunks"),
         ("columnar", "chunks"),
         ("columnar", "admission"),
         ("bucket", "traceless"),

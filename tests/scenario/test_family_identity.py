@@ -27,7 +27,7 @@ MODEL = PowerInfoModel(n_users=200, n_programs=40, days=3.0, seed=13)
 CONFIG = SimulationConfig(neighborhood_size=50, per_peer_storage_gb=2.0,
                           warmup_days=1.0)
 
-ENGINES = ["bucket", "heap"] + (["columnar"] if columnar_supported() else [])
+ENGINES = ["bucket"] + (["columnar"] if columnar_supported() else [])
 
 #: The exact dict a pre-registry scenario file carried for this model.
 LEGACY_PAYLOAD = {"n_users": 200, "n_programs": 40, "days": 3.0, "seed": 13}

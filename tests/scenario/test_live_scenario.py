@@ -56,7 +56,7 @@ class TestSchema:
 
     def test_live_requires_bucket_engine(self):
         with pytest.raises(ConfigurationError, match="bucket"):
-            _scenario(engine="heap")
+            _scenario(engine="columnar")
 
     def test_live_rejects_shards(self):
         with pytest.raises(ConfigurationError, match="sharded"):

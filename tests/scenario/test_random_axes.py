@@ -57,8 +57,8 @@ class TestRandomAxisValues:
 
     def test_choices_draw_from_the_listed_values(self):
         axis = RandomAxis(name="label", path="label", count=10, seed=2,
-                          choices=("heap", "bucket"))
-        assert set(axis.values()) == {"heap", "bucket"}
+                          choices=("columnar", "bucket"))
+        assert set(axis.values()) == {"columnar", "bucket"}
 
     def test_seed_and_name_both_move_the_sequence(self):
         base = RandomAxis(name="gb", path="p", count=8, seed=0,

@@ -116,7 +116,7 @@ class TestScenarioRoundTrip:
             trace=dataclasses.replace(MODEL, length_minutes=(30.0, 60.0),
                                       length_weights=(0.5, 0.5)),
             config=SimulationConfig(peak_hours=(20, 21), warmup_days=0.5),
-            engine="heap",
+            engine="columnar",
             seed=99,
             scale=0.5,
         )
@@ -137,8 +137,9 @@ class TestScenarioRoundTrip:
         assert BASE.model() is MODEL
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError, match="engine"):
-            Scenario(trace=MODEL, engine="warp")
+        for engine in ("warp", "heap"):
+            with pytest.raises(ConfigurationError, match="engine"):
+                Scenario(trace=MODEL, engine=engine)
         with pytest.raises(ConfigurationError, match="scale"):
             Scenario(trace=MODEL, scale=0.0)
         with pytest.raises(ConfigurationError, match="PowerInfoModel"):

@@ -11,7 +11,6 @@ import repro
 PUBLIC_MODULES = [
     "repro.sim",
     "repro.sim.engine",
-    "repro.sim.events",
     "repro.sim.random_streams",
     "repro.trace",
     "repro.trace.records",
