@@ -47,8 +47,9 @@ def test_event_engine_heap_chain_throughput(benchmark):
 
     The same logical workload as ``test_event_engine_arc_throughput``
     below -- 20 sessions x 1,000 segments on the 300 s grid -- scheduled
-    one heap push/pop per segment, the way a retried live admission
-    walks its segments.
+    one heap push/pop per segment.  No replay walks segments this way
+    any more; the chain is the named reference the arc speedup is
+    measured against.
     """
 
     def run():

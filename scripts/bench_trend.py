@@ -11,9 +11,9 @@ Reads the freshly emitted ``BENCH_micro.json``, appends one compact
 line to ``BENCH_history.jsonl`` (so the perf trajectory accumulates
 across CI runs via the artifact), renders an ASCII trend chart of the
 comparable history (also into ``$GITHUB_STEP_SUMMARY`` when set, so the
-trajectory shows up on the CI run page), and exits non-zero when the
-end-to-end metric regressed more than ``--max-regression`` (default
-25%) against the previous history entry.  The first run of a metric
+trajectory shows up on the CI run page), and exits non-zero when an
+end-to-end metric (bucket or columnar) regressed more than
+``--max-regression`` (default 25%) against the previous history entry.  The first run of a metric
 never fails -- there is nothing to compare against.
 """
 
@@ -30,9 +30,9 @@ from pathlib import Path
 #: entries, which are peak resident-set megabytes).
 RECORDED_METRICS = (
     ("end_to_end_s", ("end_to_end", "bucket_s")),
-    # Columnar drain (PR 6): the batched replay core on the same
-    # end-to-end workload.  Absent on pure-python hosts; recorded but
-    # not gated, like every non-default-engine metric.
+    # Columnar drain: the batched replay core on the same end-to-end
+    # workload, and the engine resolve_engine() gives callers where
+    # numpy is importable.  Absent on pure-python hosts.
     ("end_to_end_columnar_s", ("end_to_end", "columnar_s")),
     ("cache_lfu_s", ("cache", "lfu_decisions_s")),
     ("cache_requests_s", ("cache", "index_requests_s")),
@@ -60,11 +60,12 @@ RECORDED_METRICS = (
     ("metro_peak_rss_mb", ("metro", "peak_rss_mb")),
 )
 
-#: Only the end-to-end replay gates CI.  The cache micro metrics are
-#: millisecond-scale in --quick mode -- pure noise fodder across
-#: heterogeneous shared runners -- so they are recorded for the trend
-#: chart but never fail the build.
-GATED_KEYS = ("end_to_end_s",)
+#: Only the end-to-end replays gate CI: columnar, the engine callers get
+#: with numpy, and bucket, the live, chunked and numpy-free path.  The
+#: cache micro metrics are millisecond-scale in --quick mode -- pure
+#: noise fodder across heterogeneous shared runners -- so they are
+#: recorded for the trend chart but never fail the build.
+GATED_KEYS = ("end_to_end_s", "end_to_end_columnar_s")
 
 
 def _dig(report: dict, path: tuple) -> float | None:
@@ -144,8 +145,9 @@ def main() -> int:
     parser.add_argument("--history", default="BENCH_history.jsonl",
                         help="trend log to append to")
     parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="fail when end-to-end slows by more than this "
-                             "fraction vs. the previous entry (default 0.25)")
+                        help="fail when an end-to-end replay slows by more "
+                             "than this fraction vs. the previous entry "
+                             "(default 0.25)")
     args = parser.parse_args()
 
     report_path = Path(args.report)

@@ -5,8 +5,8 @@ Tracks the perf trajectory of the hot paths the engine and cache PRs
 rebuilt:
 
 * event-engine throughput -- the segment workload as a heap chain
-  (the retried-admission walk) vs. as session arcs on the calendar
-  queue;
+  (one ``at()`` per segment, the named reference) vs. as session arcs
+  on the calendar queue;
 * hourly-meter throughput -- hour-spanning vs. single-bucket intervals;
 * trace pipeline -- ``generate_trace`` on the python and (when
   importable) numpy backends, plus the sweep-worker share hand-off

@@ -144,8 +144,9 @@ class SimulationTask:
         mode (``CableVoDSystem.run(admission=...)``) instead of the
         offline replay: a ``(throttle, fairness)`` pair of optional
         admission specs (:mod:`repro.live.specs`), both tiny frozen
-        dataclasses so the pickle stays small.  Live tasks are
-        monolithic -- they cannot carry a shard.
+        dataclasses so the pickle stays small.  Live tasks drain the
+        whole plant: they may carry a one-shard (streamed) spec, never
+        a cut of the plant.
     label:
         The scenario label, for error messages (``""`` if none).
     """
@@ -164,11 +165,21 @@ class SimulationTask:
                 "baseline metrics are whole-trace analytics; request them "
                 "on an unsharded task"
             )
-        if self.live is not None and self.shard is not None:
+        if (self.live is not None and self.shard is not None
+                and self.shard.n_shards > 1):
             raise ConfigurationError(
                 "live mode is a single arrival-order drain; it cannot "
-                "ride on a shard task"
+                "ride on a shard task of a cut plant"
             )
+
+    def admission(self):
+        """A fresh admission controller for a live task, else ``None``."""
+        if self.live is None:
+            return None
+        from repro.live.admission import AdmissionController
+
+        throttle, fairness = self.live
+        return AdmissionController(throttle=throttle, fairness=fairness)
 
 
 #: What travels with a task to its worker: an unsharded task's trace
@@ -205,15 +216,13 @@ def _task_baselines(task: SimulationTask, trace: Trace) -> Dict[str, float]:
 
 def _run_on_trace(task: SimulationTask, trace: Trace) -> TaskOutcome:
     """Run one unsharded task on its trace: live or offline, plus baselines."""
-    if task.live is None:
+    admission = task.admission()
+    if admission is None:
         result = run_simulation(trace, task.config, engine=task.engine)
     else:
         from repro.core.system import CableVoDSystem
-        from repro.live.admission import AdmissionController
 
-        throttle, fairness = task.live
-        controller = AdmissionController(throttle=throttle, fairness=fairness)
-        result = CableVoDSystem(trace, task.config).run(admission=controller)
+        result = CableVoDSystem(trace, task.config).run(admission=admission)
     return result, _task_baselines(task, trace)
 
 

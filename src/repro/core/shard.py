@@ -336,23 +336,25 @@ def execute_shard_task(task, shard_slice: SliceHandle) -> SimulationResult:
     :func:`split_shard_slices` wrote for it.  Streaming shards run on
     the bucket engine regardless of the requested engine -- the engines
     are bit-identical, so this is the same silent demotion ``columnar``
-    makes when numpy is missing.
+    makes when numpy is missing.  A live task (one shard of the whole
+    plant) drains through admission.
     """
     spec = task.shard
     config = task.config
     validate_shard_plan(task.workload, config, spec.n_shards, spec.streaming)
     groups = shard_neighborhood_groups(task.workload, config, spec.n_shards)
     ids = list(groups[spec.index])
+    admission = task.admission()
     with SliceReader(shard_slice) as reader:
         if spec.streaming:
             system = CableVoDSystem(
                 None, config, engine="bucket", neighborhood_ids=ids,
                 catalog=reader.catalog, n_users=reader.n_users,
             )
-            return system.run(_filtered_chunks(reader))
+            return system.run(_filtered_chunks(reader), admission=admission)
         trace = reader.materialize()
     return CableVoDSystem(trace, config, engine=resolve_engine(task.engine),
-                          neighborhood_ids=ids).run()
+                          neighborhood_ids=ids).run(admission=admission)
 
 
 def run_sharded(

@@ -272,17 +272,10 @@ class CableVoDSystem:
     # re-derived 100+ times per session.
 
     def _start_session_fast(self, record: SessionRecord) -> None:
-        args = self._open_session(record)
-        if args is not None:
-            sim = self._sim
-            sim.start_arc(sim.now + units.SEGMENT_SECONDS, self._arc_step, *args)
+        """Open the viewer stream, deliver the first segment, start the arc.
 
-    def _open_session(self, record: SessionRecord):
-        """Shared session-start prologue (arc and retry walks).
-
-        Opens the viewer stream, delivers the first segment, and returns
-        the continuation argument tuple for the remaining segments --
-        or ``None`` when the session fits inside one segment.
+        The arc carries the remaining segments; a session that fits
+        inside one segment starts none.
         """
         sim = self._sim
         now = sim.now
@@ -303,35 +296,14 @@ class CableVoDSystem:
         if watch > units.SEGMENT_SECONDS:
             watch = units.SEGMENT_SECONDS
         if watch <= 1e-6:
-            return None
+            return
         self._deliver_segment(now, server, neighborhood_id, user_id,
                               program_id, 0, watch)
         last_segment = self._last_segment[program_id]
         if 0 < last_segment and end > now + units.SEGMENT_SECONDS + 1e-6:
-            return (server, neighborhood_id, user_id, program_id, end,
-                    last_segment)
-        return None
-
-    def _start_retried_session(self, record: SessionRecord) -> None:
-        """Session start whose segment walk runs on the heap, not an arc.
-
-        Retried (deferred) live admissions fire from heap events, which
-        may execute behind the calendar's already-activated front
-        bucket -- ``start_arc`` would reject the continuation there, so
-        the remaining segments are scheduled with ``sim.at`` instead.
-        Delivery order and outcome log are identical to the arc path.
-        """
-        args = self._open_session(record)
-        if args is not None:
-            sim = self._sim
-            sim.at(sim.now + units.SEGMENT_SECONDS, self._retry_step, 0, *args)
-
-    def _retry_step(self, index: int, *args) -> None:
-        """One heap-driven segment step; reschedules itself while live."""
-        sim = self._sim
-        if self._arc_step(sim.now, index, *args):
-            sim.at(sim.now + units.SEGMENT_SECONDS, self._retry_step,
-                   index + 1, *args)
+            sim.start_arc(now + units.SEGMENT_SECONDS, self._arc_step,
+                          server, neighborhood_id, user_id, program_id, end,
+                          last_segment)
 
     def _arc_step(self, now: float, index: int, server, neighborhood: int,
                   user_id: int, program_id: int, end: float,
@@ -548,14 +520,7 @@ class CableVoDSystem:
         )
         action = verdict.action
         if action == "admit":
-            # First-attempt admissions fire from the calendar walk and
-            # may use the arc fast path; retries fire from heap events
-            # that can run behind the activated front bucket, so their
-            # segment walk stays on the heap.
-            if attempts:
-                self._start_retried_session(record)
-            else:
-                self._start_session_fast(record)
+            self._start_session_fast(record)
         elif action == "defer":
             sim.at(now + verdict.retry_after, self._live_attempt,
                    record, attempts + 1)

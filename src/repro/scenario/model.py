@@ -207,7 +207,8 @@ class Scenario:
         Drain the workload through the live headend mode
         (:mod:`repro.live`): requests flow in arrival order through an
         admission layer in front of the index server.  Requires the
-        ``bucket`` engine, runs monolithic (no shards, no streaming).
+        ``bucket`` engine and one shard (throttle budgets are
+        plant-wide); it may stream.
         With no admission policies configured the run is bit-identical
         to the offline replay.
     throttle:
@@ -317,11 +318,6 @@ class Scenario:
                 raise ConfigurationError(
                     "live mode is a single arrival-order drain and "
                     "cannot run sharded"
-                )
-            if self.streaming:
-                raise ConfigurationError(
-                    "live mode feeds the drain itself; streaming replay "
-                    "does not compose with it"
                 )
         elif self.throttle is not None or self.fairness is not None:
             raise ConfigurationError(

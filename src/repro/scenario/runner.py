@@ -81,18 +81,12 @@ def scenario_tasks(scenario: Scenario) -> List[SimulationTask]:
     group, whose results the caller reduces with
     :meth:`SimulationResult.merged` (sweeps do this per point).
     """
+    task = scenario_task(scenario)
     if scenario.shards == 1 and not scenario.streaming:
-        return [scenario_task(scenario)]
-    workload = scenario.workload()
+        return [task]
     return [
-        SimulationTask(
-            workload=workload,
-            config=scenario.config,
-            engine=scenario.engine,
-            shard=ShardSpec(n_shards=scenario.shards, index=index,
-                            streaming=scenario.streaming),
-            label=scenario.label,
-        )
+        replace(task, shard=ShardSpec(n_shards=scenario.shards, index=index,
+                                      streaming=scenario.streaming))
         for index in range(scenario.shards)
     ]
 

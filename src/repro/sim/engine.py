@@ -3,8 +3,7 @@
 :class:`Simulator` owns the clock and two complementary event stores:
 
 * a binary heap of ``(time, seq, callback, args)`` tuples for events
-  scheduled with :meth:`Simulator.at` (live admission retries and the
-  segment walks of retried sessions);
+  scheduled with :meth:`Simulator.at` (live admission retries);
 * a tick-bucketed calendar queue
   (:class:`~repro.sim.tickqueue.TickBucketQueue`) for the hot path:
   session-start slabs (:meth:`Simulator.preload_starts`,
@@ -16,7 +15,9 @@
 Both stores draw sequence numbers from one shared counter and the run
 loop merges them by ``(time, seq)``, so the execution order is exactly
 what a single global heap would produce: chronological with FIFO
-tie-breaking within an instant.
+tie-breaking within an instant.  The run loop activates the next
+calendar bucket only once no heap event and no horizon comes before
+its start, so a heap event can always start an arc one tick ahead.
 
 Design notes
 ------------
@@ -307,18 +308,15 @@ class Simulator:
                 while True:
                     if front is None or pos >= front_len:
                         buckets._front_pos = pos
-                        if tick_heap and tick_heap[0] * width > limit:
-                            # Horizon-aware activation: the earliest
-                            # pending bucket starts past the horizon, so
-                            # every bucket does (ticks are aligned).
-                            # Leave them *unactivated* -- activation
-                            # would advance _front_tick and make
-                            # accepts()/extend_sorted reject exactly the
-                            # ticks a streamed replay appends its next
-                            # chunk to after this run() returns.  Heap
-                            # events inside the horizon still execute
-                            # below; the check re-runs each iteration in
-                            # case one deposits an earlier bucket.
+                        start = tick_heap[0] * width if tick_heap else -math.inf
+                        if start > limit or (heap and heap[0][0] < start):
+                            # Activate the earliest pending bucket only
+                            # once neither the horizon nor the heap head
+                            # precedes its start: activation advances
+                            # _front_tick, so accepts()/extend_sorted
+                            # would refuse that tick to an arc a heap
+                            # event starts, or to a streamed replay's
+                            # next chunk.  Re-checked every iteration.
                             front = None
                             front_len = 0
                             next_bucket = None

@@ -4,7 +4,7 @@ The perf rebuilds (session arcs + calendar buckets + meter fast path,
 and now the columnar precomputed-schedule engine) are only admissible
 because they change *nothing* observable: same trace + config must
 yield byte-for-byte equal counters and hourly meter buckets on both
-engines and on the retried-admission heap walk, and the parallel sweep
+engines and on a heap-only simulator, and the parallel sweep
 runner must reproduce the serial rows exactly.  The columnar engine additionally must fall back to ``bucket``
 bit-identically (trivially, since they are equal) when numpy is absent
 or ``REPRO_ENGINE=python`` closes the gate.
@@ -24,6 +24,7 @@ from repro.core.runner import resolve_engine, run_simulation
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.system import CableVoDSystem, columnar_supported
 from repro.trace.synthetic import PowerInfoModel, generate_trace
+from tests.sim.helpers import HeapSimulator
 
 
 def _config(strategy=None):
@@ -47,15 +48,15 @@ def assert_identical(a, b):
         assert a.upstream_meters[key].buckets() == b.upstream_meters[key].buckets()
 
 
-def run_on_retry_walk(trace, config):
-    """Replay with every session start on the retried-admission heap walk.
+def run_on_heap(trace, config):
+    """Replay on the bucket engine with every arc step a heap event.
 
-    Live admission sends a deferred session's segments through
-    ``sim.at`` one step at a time instead of a bucket arc; routing every
-    start there makes that walk the heap reference for the arc walk.
+    :class:`~tests.sim.helpers.HeapSimulator` chains ``at()`` one
+    segment at a time where the calendar walks arcs, so it is the heap
+    reference for the arc walk.
     """
     system = CableVoDSystem(trace, config, engine="bucket")
-    system._start_session_fast = system._start_retried_session
+    system._sim = HeapSimulator()
     return system.run()
 
 
@@ -64,7 +65,7 @@ class TestHeapBucketEquivalence:
                              ids=["lfu", "lru", "oracle"])
     def test_same_seed_same_results(self, tiny_trace, strategy):
         config = _config(strategy)
-        heap = run_on_retry_walk(tiny_trace, config)
+        heap = run_on_heap(tiny_trace, config)
         bucket = run_simulation(tiny_trace, config, engine="bucket")
         assert_identical(heap, bucket)
 
@@ -94,7 +95,7 @@ class TestColumnarEquivalence:
         if not columnar_supported():
             pytest.skip("columnar gate closed (no numpy or REPRO_ENGINE=python)")
         config = _config(spec_from_name(policy))
-        heap = run_on_retry_walk(tiny_trace, config)
+        heap = run_on_heap(tiny_trace, config)
         bucket = run_simulation(tiny_trace, config, engine="bucket")
         columnar = run_simulation(tiny_trace, config, engine="columnar")
         assert_identical(heap, bucket)

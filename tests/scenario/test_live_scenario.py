@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from bench.checks import result_digest
 from repro.core.config import SimulationConfig
+from repro.core.parallel import ShardSpec, SimulationTask
 from repro.errors import ConfigurationError
 from repro.live import FairnessSpec, ThrottleSpec
 from repro.scenario import Scenario, Sweep, apply_path, run_scenario, run_sweep
@@ -62,9 +64,19 @@ class TestSchema:
         with pytest.raises(ConfigurationError, match="sharded"):
             _scenario(shards=2)
 
-    def test_live_rejects_streaming(self):
-        with pytest.raises(ConfigurationError, match="streaming"):
-            _scenario(streaming=True)
+    def test_live_streaming_rejects_shards(self):
+        with pytest.raises(ConfigurationError, match="sharded"):
+            _scenario(streaming=True, shards=2)
+
+    def test_live_task_rejects_a_cut_plant(self):
+        workload = _scenario().workload()
+        live = (ThrottleSpec(), None)
+        SimulationTask(workload=workload, config=SimulationConfig(),
+                       shard=ShardSpec(n_shards=1, index=0, streaming=True),
+                       live=live)
+        with pytest.raises(ConfigurationError, match="shard task"):
+            SimulationTask(workload=workload, config=SimulationConfig(),
+                           shard=ShardSpec(n_shards=2, index=0), live=live)
 
     def test_wrong_spec_family_rejected(self):
         with pytest.raises(ConfigurationError, match="throttle"):
@@ -147,6 +159,16 @@ class TestLiveRows:
         result = run_scenario(_scenario())
         assert result.live is not None
         assert result.live.requests > 0
+
+
+class TestLiveStreaming:
+    def test_streamed_drain_matches_materialized(self):
+        fairness = FairnessSpec(lead_seconds=7200.0, fill_weight=2.0)
+        materialized = run_scenario(_scenario(fairness=fairness))
+        streamed = run_scenario(_scenario(fairness=fairness, streaming=True))
+        assert result_digest(streamed) == result_digest(materialized)
+        assert vars(streamed.live) == vars(materialized.live)
+        assert streamed.live.deferrals > 0
 
 
 class TestLiveMetricSet:

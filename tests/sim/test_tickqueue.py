@@ -63,6 +63,38 @@ class TestHeapBucketMerge:
         sim.run()
         assert fired == ["late", "grid"]
 
+    def test_heap_event_starts_an_arc_in_the_next_pending_bucket(self):
+        """A heap event before the next pending bucket's start runs
+        before that bucket activates, so its arc may land there."""
+        sim = Simulator()
+        log = []
+
+        def step(now, index):
+            log.append(("arc", now))
+            return index < 2
+
+        def plant(now):
+            log.append(("heap", now))
+            sim.start_arc(610.0, step)
+
+        sim.preload_starts([10.0, 620.0], lambda t: log.append(("slab", t)),
+                           [10.0, 620.0])
+        sim.at(15.0, plant, 15.0)
+        sim.run()
+        assert log == [("slab", 10.0), ("heap", 15.0), ("arc", 610.0),
+                       ("slab", 620.0), ("arc", 910.0), ("arc", 1210.0)]
+        assert sim.events_processed == 6
+
+    def test_bucket_callback_cannot_start_an_arc_in_its_own_bucket(self):
+        sim = Simulator()
+
+        def plant(_):
+            sim.start_arc(20.0, lambda now, index: False)
+
+        sim.preload_starts([10.0], plant, [None])
+        with pytest.raises(SimulationError, match="currently draining"):
+            sim.run()
+
     def test_run_until_horizon(self):
         sim = Simulator()
         fired = []
