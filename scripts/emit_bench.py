@@ -10,7 +10,7 @@ rebuilt:
 * hourly-meter throughput -- hour-spanning vs. single-bucket intervals;
 * trace pipeline -- ``generate_trace`` on the python and (when
   importable) numpy backends, plus the sweep-worker share hand-off
-  (column-file publish and worker attach, the cost that replaces a
+  (slice-file publish and worker attach, the cost that replaces a
   worker-side regeneration);
 * cache-path throughput -- windowed-LFU membership decisions and the
   index server's full request/fill path, both on the policy engine
@@ -510,7 +510,7 @@ def main() -> int:
     # Generator backends on one mid-size model, plus the sweep-worker
     # share hand-off (publish once, attach per worker).  Attach wall
     # time is what replaces a worker-side regeneration.
-    from repro.trace.share import attach_trace, publish_trace, unlink_trace
+    from repro.trace.share import attach_trace, publish_trace, unlink_slice
     from repro.trace.synthetic import numpy_available
 
     trace_model = PowerInfoModel(n_users=users, n_programs=users // 5,
@@ -549,8 +549,8 @@ def main() -> int:
         attach_s = best_of(lambda: attach_trace(handle), repeats=2)
     finally:
         for extra in published:
-            unlink_trace(extra)
-        unlink_trace(handle)
+            unlink_slice(extra.path)
+        unlink_slice(handle.path)
     report["trace"]["share_publish_s"] = round(publish_s, 4)
     report["trace"]["share_attach_s"] = round(attach_s, 4)
     # Named per backend: what a worker's fallback actually costs

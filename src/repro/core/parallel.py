@@ -14,19 +14,19 @@ process.
 A PowerInfo-scale trace is tens of millions of records, so no task
 ever pickles one.  A task ships a
 :class:`~repro.trace.workload.Workload` (a few-field frozen dataclass)
-plus, at most, a tiny file handle; the trace reaches it one of three
-ways:
+plus, at most, the handle of a slice file (:mod:`repro.trace.share`,
+the one on-disk trace format); the trace reaches it from the memo or
+from such a file:
 
 * **memoized** -- serial unsharded tasks replay the process-wide
   memoized trace (:func:`~repro.trace.workload.cached_workload_trace`),
   so repeated serial sweeps never regenerate a workload the scenario
   runner already built;
-* **shared** -- in a pool, each unsharded workload that several tasks
-  share is published once into a mapped column file
-  (:mod:`repro.trace.share`) and workers attach to it.  A singleton
-  workload is generated in its worker instead (once either way), and
-  so is every workload under ``REPRO_TRACE_SHARE=off`` or after a
-  failed publish -- generation is deterministic, so regenerating is
+* **published** -- in a pool, each unsharded workload that several
+  tasks share is written once as a one-chunk slice file and workers
+  attach to it.  A singleton workload is generated in its worker
+  instead (once either way), and so is every workload whose publish
+  or attach failed -- generation is deterministic, so regenerating is
   bit-identical to attaching;
 * **sliced** -- every shard task, serial or pooled, reads its own
   slice file: the parent generates each sharded run's trace once and
@@ -37,7 +37,9 @@ Publishes and splits run lazily, when a workload's first task is
 dispatched -- in a pool, on ``imap``'s feeder thread after the workers
 forked, so they overlap running tasks and workers never inherit
 generator memory.  Every file is unlinked when the run ends, fails, or
-is abandoned; slice files already as their tasks return.
+is abandoned; shard slices already as their tasks return.  A task
+that raises reaches the caller as a :class:`~repro.errors.ReproError`
+naming its scenario, chained from the original error.
 
 Tasks may also request named **baseline metrics** (``no_cache``,
 ``multicast`` -- see :mod:`repro.baselines.registry`): analytic columns
@@ -57,10 +59,9 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.core.runner import run_simulation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError, TraceError
 from repro.trace.records import Trace
-from repro.trace.share import TraceShareHandle, publish_trace, share_enabled, unlink_trace
-from repro.trace.spill import SliceHandle
+from repro.trace.share import SliceHandle, publish_trace, unlink_slice
 from repro.trace.streaming import DEFAULT_CHUNK_HOURS
 from repro.trace.synthetic import PowerInfoModel
 from repro.trace.workload import Workload, cached_workload_trace
@@ -181,10 +182,12 @@ class SimulationTask:
         throttle, fairness = self.live
         return AdmissionController(throttle=throttle, fairness=fairness)
 
+    def run_name(self) -> str:
+        """How error messages name this task's run."""
+        if self.label:
+            return f"scenario {self.label!r}"
+        return "sharded run" if self.shard is not None else "simulation task"
 
-#: What travels with a task to its worker: an unsharded task's trace
-#: share, or a shard task's slice file.
-Handle = Union[TraceShareHandle, SliceHandle]
 
 #: What one task returns: the simulation result plus the task's baseline
 #: columns (empty dict when the task requested none).
@@ -241,7 +244,7 @@ def _execute_task(task: SimulationTask,
 
 
 @lru_cache(maxsize=2)
-def _attached_trace(handle: "TraceShareHandle") -> Trace:
+def _attached_trace(handle: SliceHandle) -> Trace:
     """Worker-side memo of attached shared traces.
 
     Sized like the transformed-trace LRU in :mod:`repro.trace.workload`:
@@ -253,12 +256,12 @@ def _attached_trace(handle: "TraceShareHandle") -> Trace:
     return attach_trace(handle)
 
 
-def _execute_shared(payload: Tuple[SimulationTask, Optional[Handle]],
+def _execute_shared(payload: Tuple[SimulationTask, Optional[SliceHandle]],
                     ) -> TaskOutcome:
     """Pool-worker entry: attach the published trace, else regenerate.
 
     A shard task's handle is its slice of the run's split.  An unsharded
-    task's share handle that cannot be attached (deleted tmp file,
+    task's published trace that cannot be attached (deleted tmp file,
     corrupt bytes) degrades to the deterministic regenerate path instead
     of failing the sweep -- the two are bit-identical by construction.
     """
@@ -269,8 +272,6 @@ def _execute_shared(payload: Tuple[SimulationTask, Optional[Handle]],
         return execute_shard_task(task, handle), {}
     trace: Optional[Trace] = None
     if handle is not None:
-        from repro.errors import TraceError
-
         try:
             trace = _attached_trace(handle)
         except (OSError, TraceError):
@@ -367,18 +368,17 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def _iter_task_payloads(
     tasks: Sequence[SimulationTask],
-    handles: Dict[Workload, TraceShareHandle],
+    handles: Dict[Workload, SliceHandle],
     splits: Optional[ShardSplits] = None,
-    publish: bool = True,
-) -> Iterator[Tuple[SimulationTask, Optional[Handle]]]:
+) -> Iterator[Tuple[SimulationTask, Optional[SliceHandle]]]:
     """Yield ``(task, handle)`` pairs, publishing and splitting lazily.
 
     A shard task's handle is its slice file: ``splits`` (required when
     any task carries a shard) splits each sharded run when its first
     task is dispatched.
 
-    For unsharded tasks (and only when ``publish`` is set), workloads
-    referenced by two or more tasks are published: a singleton workload
+    For unsharded tasks, workloads referenced by two or more tasks are
+    published as one-chunk slice files: a singleton workload
     costs one generation either way (ordered dispatch hands all its
     tasks to one worker's memo), so publishing it would just serialize
     that generation into the parent.  Each shared workload is published
@@ -390,8 +390,7 @@ def _iter_task_payloads(
     Generation happens through the same memoized path serial runs use
     (a trace the scenario runner already built is serialized straight
     from cache) and the object trace is released back to the LRU right
-    after: only the flat file (mapped, page-cache-shared) stays for the
-    sweep's duration.
+    after: only the flat file stays for the sweep's duration.
 
     The caller owns ``handles`` (and their unlinking): entries appear
     as publishes happen.  The first failure to write (full tmp,
@@ -404,7 +403,7 @@ def _iter_task_payloads(
     for task in tasks:
         if task.shard is None:
             references[task.workload] = references.get(task.workload, 0) + 1
-    give_up = not publish
+    give_up = False
     for task in tasks:
         if task.shard is not None:
             yield task, splits.slice_for(task)
@@ -422,6 +421,25 @@ def _iter_task_payloads(
                 give_up = True
                 handle = None
         yield task, handle
+
+
+def _task_failure(task: SimulationTask, error: Exception) -> ReproError:
+    """``error`` as a :class:`~repro.errors.ReproError` naming ``task``'s run.
+
+    A library error keeps its class and any other becomes a plain
+    ``ReproError``, chained from the original (in a pool, from the copy
+    the worker sent back).  An error that already names the run -- a
+    split's own failure -- passes through unwrapped.
+    """
+    name = task.run_name()
+    if isinstance(error, ReproError):
+        if str(error).startswith(name):
+            return error
+        failure = type(error)(f"{name}: {error}")
+    else:
+        failure = ReproError(f"{name}: {type(error).__name__}: {error}")
+    failure.__cause__ = error
+    return failure
 
 
 def iter_task_results(
@@ -442,10 +460,13 @@ def iter_task_results(
     (:class:`~repro.core.shard.ShardSplits`), serial or pooled; the
     slice files are unlinked as their tasks return, and all of them
     when the run ends, fails, or is abandoned.  Multi-worker runs also
-    publish each unsharded workload that several tasks share once
-    (:mod:`repro.trace.share`) so workers attach to the mapped columns
-    instead of regenerating; ``REPRO_TRACE_SHARE=off`` (or a failed
-    publish) falls back to the regenerate path, bit-identically.
+    publish each unsharded workload that several tasks share once, as
+    a one-chunk slice file (:mod:`repro.trace.share`), so workers
+    attach to it instead of regenerating; a failed publish falls back
+    to the regenerate path, bit-identically.
+
+    A task that raises -- in the split, in this process or in a worker
+    -- ends the run with :func:`_task_failure`'s labelled error.
     """
     from repro.core.shard import ShardSplits
 
@@ -454,27 +475,34 @@ def iter_task_results(
         workers = get_default_workers()
     workers = min(resolve_workers(workers), len(tasks))
     splits = ShardSplits(tasks)
-    handles: Dict[Workload, TraceShareHandle] = {}
+    handles: Dict[Workload, SliceHandle] = {}
     try:
         if workers <= 1:
             for task in tasks:
-                outcome = _execute_task(task, splits.slice_for(task))
+                try:
+                    outcome = _execute_task(task, splits.slice_for(task))
+                except Exception as error:
+                    raise _task_failure(task, error)
                 splits.done(task)
                 yield outcome
             return
 
         import multiprocessing as mp
 
-        payloads = _iter_task_payloads(tasks, handles, splits,
-                                       publish=share_enabled())
+        payloads = _iter_task_payloads(tasks, handles, splits)
         pool = mp.get_context().Pool(processes=workers)
         try:
             # chunksize=1: tasks vary wildly in cost (population
             # transforms multiply event counts; cache sizes change hit
             # ratios), so fine-grained dispatch balances the pool better
-            # than range partitioning.
+            # than range partitioning.  Ordered imap raises a failed
+            # task's (or its split's) error at that task's own outcome.
             outcomes = pool.imap(_execute_shared, payloads, chunksize=1)
-            for task, outcome in zip(tasks, outcomes):
+            for task in tasks:
+                try:
+                    outcome = next(outcomes)
+                except Exception as error:
+                    raise _task_failure(task, error)
                 splits.done(task)
                 yield outcome
         finally:
@@ -487,7 +515,7 @@ def iter_task_results(
     finally:
         splits.close()
         for handle in handles.values():
-            unlink_trace(handle)
+            unlink_slice(handle.path)
 
 
 def run_many(

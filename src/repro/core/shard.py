@@ -21,15 +21,17 @@ serial or pooled:
   (:func:`~repro.topology.placement.shared_plant`) splits every chunk
   -- with numpy when it is installed, a python loop otherwise -- and
   each shard's rows are appended to that shard's own slice file
-  (:mod:`repro.trace.spill`).  :class:`ShardSplits` runs the split
-  lazily, when a run's first shard task is dispatched (on the pool's
-  feeder thread, after the workers forked), and unlinks the files once
-  their tasks have returned;
+  (:mod:`repro.trace.share`, the format a published sweep trace uses
+  too).  :class:`ShardSplits` runs the split lazily, when a run's first
+  shard task is dispatched (on the pool's feeder thread, after the
+  workers forked), and unlinks the files once their tasks have
+  returned;
 * **the replay, once per shard** -- :func:`execute_shard_task` reads
   its slice back: a streaming shard drains it chunk by chunk through
   :meth:`~repro.core.system.CableVoDSystem.run`, so resident
-  session columns stay O(chunk); a materialized shard concatenates it
-  into one :class:`~repro.trace.records.Trace` for any engine.  Slices
+  session columns stay O(chunk); a materialized shard attaches it
+  whole, as a sweep worker attaches a published trace
+  (:func:`~repro.trace.share.attach_trace`), for any engine.  Slices
   keep global user ids and the global ``n_users``, so placement and
   strategies see the unsharded world.
 
@@ -57,8 +59,16 @@ from repro.errors import ConfigurationError, ReproError
 from repro.topology.placement import shared_plant
 from repro.topology.sharding import n_neighborhoods_for, partition_neighborhoods
 from repro.trace.families import WorkloadModel
-from repro.trace.spill import SliceHandle, SliceReader, SliceWriter, unlink_slice
-from repro.trace.streaming import DEFAULT_CHUNK_HOURS, TraceChunk, open_trace_stream
+from repro.trace.records import TraceChunk
+from repro.trace.share import (
+    SliceHandle,
+    SliceReader,
+    SliceWriter,
+    attach_columns,
+    attach_trace,
+    unlink_slice,
+)
+from repro.trace.streaming import DEFAULT_CHUNK_HOURS, open_trace_stream
 from repro.trace.workload import Workload, cached_workload_trace
 
 
@@ -197,15 +207,11 @@ def _chunk_splitter(owners: List[int], n_shards: int
     return split_numpy
 
 
-def _run_name(task) -> str:
-    return f"scenario {task.label!r}" if task.label else "sharded run"
-
-
 def split_shard_slices(task, stop: Optional[threading.Event] = None
                        ) -> List[SliceHandle]:
-    """Generate ``task``'s trace once and spill every shard's rows.
+    """Generate ``task``'s trace once and write every shard's rows.
 
-    Returns one :class:`~repro.trace.spill.SliceHandle` per shard of
+    Returns one :class:`~repro.trace.share.SliceHandle` per shard of
     ``task``'s run, in shard order; the caller owns (and unlinks) the
     files.  A streaming run splits each chunk of one
     :meth:`~repro.trace.streaming.TraceStream.chunks` pass; otherwise
@@ -240,7 +246,7 @@ def split_shard_slices(task, stop: Optional[threading.Event] = None
             writers.append(SliceWriter(catalog, n_users))
         for chunk in chunks:
             if stop is not None and stop.is_set():
-                raise ReproError(f"{_run_name(task)}: shard split abandoned")
+                raise ReproError(f"{task.run_name()}: shard split abandoned")
             for writer, columns in zip(writers, split(chunk)):
                 if columns is not None:
                     writer.write_chunk(chunk.index, chunk.start_hour,
@@ -251,7 +257,7 @@ def split_shard_slices(task, stop: Optional[threading.Event] = None
             writer.discard()
         if isinstance(error, OSError):
             raise ReproError(
-                f"{_run_name(task)}: cannot write shard slice files: {error}"
+                f"{task.run_name()}: cannot write shard slice files: {error}"
             ) from error
         raise
 
@@ -345,16 +351,16 @@ def execute_shard_task(task, shard_slice: SliceHandle) -> SimulationResult:
     groups = shard_neighborhood_groups(task.workload, config, spec.n_shards)
     ids = list(groups[spec.index])
     admission = task.admission()
-    with SliceReader(shard_slice) as reader:
-        if spec.streaming:
-            system = CableVoDSystem(
-                None, config, engine="bucket", neighborhood_ids=ids,
-                catalog=reader.catalog, n_users=reader.n_users,
-            )
-            return system.run(_filtered_chunks(reader), admission=admission)
-        trace = reader.materialize()
-    return CableVoDSystem(trace, config, engine=resolve_engine(task.engine),
-                          neighborhood_ids=ids).run(admission=admission)
+    if not spec.streaming:
+        return CableVoDSystem(attach_trace(shard_slice), config,
+                              engine=resolve_engine(task.engine),
+                              neighborhood_ids=ids).run(admission=admission)
+    with attach_columns(shard_slice) as reader:
+        system = CableVoDSystem(
+            None, config, engine="bucket", neighborhood_ids=ids,
+            catalog=reader.catalog, n_users=reader.n_users,
+        )
+        return system.run(_filtered_chunks(reader), admission=admission)
 
 
 def run_sharded(

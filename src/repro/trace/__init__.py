@@ -16,9 +16,10 @@ package provides:
   (``@workload_family``): the powerinfo model above plus trace-driven
   log replay, piecewise-CDF synthetics, and stress shapes, all
   serializable specs regenerating byte-identical traces;
-* :mod:`repro.trace.share` -- zero-copy trace hand-off to sweep
-  workers: flat columns in a mapped file, attached instead of
-  regenerated;
+* :mod:`repro.trace.share` -- the one on-disk trace format: slice
+  files of flat column chunks, through which sweep workers attach a
+  published trace instead of regenerating it and shard tasks read
+  their slice of a split metro;
 * :mod:`repro.trace.scaling` -- the paper's §V-A population/catalog
   scaling transforms;
 * :mod:`repro.trace.workload` -- a model plus those transforms as one

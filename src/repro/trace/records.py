@@ -5,7 +5,8 @@ The PowerInfo trace the paper uses records, for every viewing session,
 started (paper §V-A: "Each of these records identifies the user, the
 program, and the length of the session").  This module defines the exact
 same schema plus the program catalog metadata (length, introduction time)
-that the paper derives from access patterns.
+that the paper derives from access patterns, and the column slab
+(`TraceChunk`) in which streamed replays and slice files carry records.
 """
 
 from __future__ import annotations
@@ -219,11 +220,11 @@ class Trace:
     ) -> "Trace":
         """Build a trace from parallel columns already in sorted order.
 
-        This is the zero-copy ingestion path shared by the vectorized
-        generator backend and the shared-trace attach used by sweep
-        workers: callers hand over four parallel columns (any sequence
-        type, including memoryviews over a mapped file) that are
-        **already sorted by** ``(start_time, user_id, program_id)`` and
+        This is the trusted ingestion path shared by the vectorized
+        generator backend and the slice-file attach used by sweep and
+        shard workers: callers hand over four parallel columns (any
+        sequence type) that are **already sorted by**
+        ``(start_time, user_id, program_id)`` and
         **already catalog-consistent** (every program id resolvable,
         every duration within its program's length).  Only cheap
         aggregate checks run here -- per-record validation still happens
@@ -270,8 +271,8 @@ class Trace:
         trace._n_users = n_users
         trace._start_times = starts
         # Seed the column cache from the caller's columns.  Materialize
-        # with list(): attach_trace hands in memoryviews over a mapped
-        # file whose buffer is released when the attach completes.
+        # with list(): a caller may hand in any sequence, or another
+        # trace's own columns, and the cache must own its lists.
         trace._columns = (starts, list(user_ids), list(program_ids),
                           list(durations))
         return trace
@@ -308,8 +309,8 @@ class Trace:
         """Session start times in record order.
 
         A read-only view of the trace's own column (do **not** mutate):
-        the engine's bulk session-start preload and the trace-share
-        serializer walk hundreds of thousands of starts, so handing out
+        the engine's bulk session-start preload and the slice-file
+        writer walk hundreds of thousands of starts, so handing out
         a defensive copy per access would dominate their cost.
         """
         return self._start_times
@@ -397,3 +398,53 @@ class Trace:
     def restricted_to_window(self, start: float, end: float) -> "Trace":
         """A new trace containing only sessions starting in ``[start, end)``."""
         return Trace(self.records_between(start, end), self._catalog, self._n_users)
+
+
+class TraceChunk:
+    """One contiguous span of simulated hours' worth of sessions.
+
+    Columns are plain python lists (the same values ``Trace.from_columns``
+    would ingest), already sorted by ``(start_time, user_id,
+    program_id)``.  Not a dataclass and no ``__slots__`` on purpose:
+    the bounded-memory test holds weakrefs to yielded chunks.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        start_hour: int,
+        end_hour: int,
+        start_times: List[float],
+        user_ids: List[int],
+        program_ids: List[int],
+        durations: List[float],
+    ) -> None:
+        self.index = index
+        self.start_hour = start_hour
+        self.end_hour = end_hour
+        self.start_times = start_times
+        self.user_ids = user_ids
+        self.program_ids = program_ids
+        self.durations = durations
+
+    @property
+    def start_second(self) -> float:
+        """Chunk window start (inclusive), in simulated seconds."""
+        return self.start_hour * float(units.SECONDS_PER_HOUR)
+
+    @property
+    def end_second(self) -> float:
+        """Chunk window end (exclusive), in simulated seconds."""
+        return self.end_hour * float(units.SECONDS_PER_HOUR)
+
+    def __len__(self) -> int:
+        return len(self.start_times)
+
+    def records(self) -> List[SessionRecord]:
+        """Materialize this chunk's rows as ``SessionRecord`` objects.
+
+        Built fresh on every call (no caching) so a replay driver that
+        drops the returned list keeps peak memory at one chunk.
+        """
+        return list(map(SessionRecord, self.start_times, self.user_ids,
+                        self.program_ids, self.durations))

@@ -1,229 +1,243 @@
-"""Zero-copy trace hand-off between a sweep parent and its workers.
+"""Slice files: the one on-disk format a trace crosses processes in.
 
 A PowerInfo-scale :class:`~repro.trace.records.Trace` is tens of
-millions of :class:`~repro.trace.records.SessionRecord` objects --
-pickling one per pool task would dwarf the simulation, which is why
-:mod:`repro.core.parallel` historically shipped the few-field
-:class:`~repro.trace.workload.Workload` and had every worker
-*regenerate* the trace.  Regeneration is deterministic but not free:
-each worker pays the full generator (or transform) cost per distinct
-workload it touches.
+millions of records, so no pool task ever pickles one.  A task carries
+a :class:`SliceHandle` -- a frozen few-field dataclass, safe under both
+``fork`` and ``spawn`` -- naming a file of flat typed columns, and
+every hand-off writes and reads that file through this module:
 
-This module removes that cost.  The parent serializes a generated trace
-once into flat typed columns inside an unlinked-on-cleanup file
-(``publish_trace``), and each worker maps the file and rebuilds the
-trace through the trusted ``Trace.from_columns`` path
-(``attach_trace``).  The payload crossing the process boundary is a
-:class:`TraceShareHandle` -- a frozen few-field dataclass -- so the
-scheme is safe under both ``fork`` and ``spawn`` start methods, and the
-mapped pages are shared by every worker on the host through the page
-cache (the "shared memory" is the OS's, with none of the
-``multiprocessing.shared_memory`` resource-tracker lifetime hazards).
+* **shard slices** -- a sharded metro replay (:mod:`repro.core.shard`)
+  generates its trace once, in the parent, and appends each shard's
+  rows to that shard's own file, chunk by chunk (:class:`SliceWriter`);
+  its task drains the chunks back (:class:`SliceReader`);
+* **published traces** -- a sweep parent writes a trace several
+  unsharded tasks share once, as a one-chunk slice file
+  (:func:`publish_trace`), and each worker rebuilds it
+  (:func:`attach_trace`) instead of regenerating it.
 
-Layout (version 1; little-endian header, native-order columns -- the
-file's lifetime is one sweep on one host, never a cross-machine
-artifact)::
+Layout (version 1; little-endian headers, native-order columns -- a
+file lives for one run on one host, never a cross-machine artifact)::
 
-    header   magic ``REPROTR1`` + uint64 n_records, n_programs, n_users
-    records  start_times f8[n] | durations f8[n] | users q[n] | programs q[n]
+    header   magic ``REPROSL1`` + uint64 n_users, n_programs
     catalog  length_seconds f8[m] | introduced_at f8[m]
+    chunks   per chunk: uint64 index, start_hour, end_hour, n_rows, then
+             start_times f8[n] | user_ids q[n] | program_ids q[n] |
+             durations f8[n]
 
-Readers slice the single mapped buffer with ``memoryview.cast``, so no
-column is copied until record objects are built.  Everything here is
-pure stdlib (``mmap`` + ``struct`` + ``array``); numpy is never
-required, keeping the pure-python CI leg and the container image happy.
+The chunk and row counts travel in the handle, so a truncated or stale
+file fails its size check instead of replaying short.  Writers take any
+buffer of 8-byte items (``array.array`` or a numpy slice); everything
+else is pure stdlib (``struct`` + ``array``), so the pure-python CI leg
+needs no numpy.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import tempfile
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Optional, Sequence
+from typing import Any, Iterator, List, Optional
 
 from repro.errors import TraceError
-from repro.trace.records import Catalog, Program, Trace
+from repro.trace.records import Catalog, Program, Trace, TraceChunk
 
-#: File magic: 8 bytes identifying a version-1 trace share.
-_MAGIC = b"REPROTR1"
-_HEADER = struct.Struct("<8sQQQ")
-
-#: ``REPRO_TRACE_SHARE`` gates the whole mechanism: ``auto`` (default)
-#: publishes whenever a sweep actually fans out to multiple processes;
-#: ``off`` forces the legacy regenerate-in-worker path.
-_SHARE_MODES = ("auto", "off")
-
-
-def share_enabled() -> bool:
-    """Whether sweep parents should publish traces for their workers."""
-    mode = os.environ.get("REPRO_TRACE_SHARE", "auto")
-    if mode not in _SHARE_MODES:
-        raise TraceError(
-            f"REPRO_TRACE_SHARE must be one of {_SHARE_MODES}, got {mode!r}"
-        )
-    return mode == "auto"
+_MAGIC = b"REPROSL1"
+_HEADER = struct.Struct("<8sQQ")
+_CHUNK = struct.Struct("<QQQQ")
 
 
 @dataclass(frozen=True)
-class TraceShareHandle:
-    """A published trace as a tiny picklable value.
+class SliceHandle:
+    """A finished slice file as a tiny picklable value.
 
-    Workers use the counts to slice the mapped file without trusting
-    its header, and the handle doubles as the worker-side memo key, so
-    two tasks sharing a workload attach (and materialize) once per
-    worker process.
+    A published trace's handle doubles as the worker-side memo key, so
+    two tasks sharing a workload attach once per worker process.
     """
 
     path: str
-    n_records: int
-    n_programs: int
     n_users: int
+    n_programs: int
+    n_chunks: int
+    n_records: int
+
+    @property
+    def size(self) -> int:
+        """The byte size the file must have."""
+        return (_HEADER.size + 16 * self.n_programs
+                + _CHUNK.size * self.n_chunks + 32 * self.n_records)
 
 
-def write_catalog(out: BinaryIO, catalog: Catalog) -> None:
-    """Write the catalog section: lengths, then introduction times."""
-    array("d", (p.length_seconds for p in catalog)).tofile(out)
-    array("d", (p.introduced_at for p in catalog)).tofile(out)
+class SliceWriter:
+    """Append chunks of one trace (or one shard's rows) to a new file.
 
-
-def catalog_from_columns(lengths: Sequence[float],
-                         introduced: Sequence[float]) -> Catalog:
-    """Rebuild a catalog from its two columns (dense ids)."""
-    return Catalog([
-        Program(program_id=i, length_seconds=length, introduced_at=at)
-        for i, (length, at) in enumerate(zip(lengths, introduced))
-    ])
-
-
-def publish_trace(trace: Trace, directory: Optional[str] = None) -> TraceShareHandle:
-    """Serialize ``trace`` into a mappable column file; return its handle.
-
-    The file lands in ``directory`` (default: the system temp dir) and
-    stays until :func:`unlink_trace` -- callers own the lifetime, which
-    must cover every worker attach.  Raises ``OSError`` if the file
-    cannot be written (no space, unwritable dir); callers fall back to
-    the regenerate path.
-    """
-    records = trace.records
-    n = len(records)
-    catalog = trace.catalog
-    fd, path = tempfile.mkstemp(prefix="repro-trace-", suffix=".cols",
-                                dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as out:
-            out.write(_HEADER.pack(_MAGIC, n, len(catalog), trace.n_users))
-            # Generator feeds: no n-element intermediate list per column
-            # in the very prelude this module exists to keep cheap.
-            array("d", trace.start_times).tofile(out)
-            array("d", (r.duration_seconds for r in records)).tofile(out)
-            array("q", (r.user_id for r in records)).tofile(out)
-            array("q", (r.program_id for r in records)).tofile(out)
-            write_catalog(out, catalog)
-    except BaseException:
-        os.unlink(path)
-        raise
-    return TraceShareHandle(path=path, n_records=n,
-                            n_programs=len(catalog), n_users=trace.n_users)
-
-
-class SharedColumns:
-    """Typed views over a mapped trace share, without record objects.
-
-    :func:`attach_trace` builds its ``Trace`` straight off these views.
-    Use as a context manager; every view (and the mapping behind it)
-    dies at ``__exit__``, so copy whatever survives the block.
+    The file is created at construction (``repro-slice-*`` in
+    ``directory``, default the system temp dir); :meth:`close` returns
+    its handle and :meth:`discard` deletes it.  ``OSError`` from any
+    write propagates -- the caller decides what a failed write means.
     """
 
-    def __init__(self, handle: TraceShareHandle) -> None:
-        n, m = handle.n_records, handle.n_programs
-        expected = _HEADER.size + 8 * (4 * n + 2 * m)
-        self._views: list = []
-        self._mapped: Optional[mmap.mmap] = None
-        with open(handle.path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size != expected:
-                raise TraceError(
-                    f"trace share {handle.path} has the wrong size for "
-                    f"{n} records / {m} programs"
-                )
-            # length=0 maps the whole file; an empty trace share is
-            # smaller than a page but mmap handles that fine.
-            self._mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    def __init__(self, catalog: Catalog, n_users: int,
+                 directory: Optional[str] = None) -> None:
+        fd, self.path = tempfile.mkstemp(prefix="repro-slice-",
+                                         suffix=".cols", dir=directory)
+        self._out = os.fdopen(fd, "wb")
+        self._n_users = n_users
+        self._n_programs = len(catalog)
+        self._n_chunks = 0
+        self._n_records = 0
+        self._out.write(_HEADER.pack(_MAGIC, n_users, len(catalog)))
+        array("d", (p.length_seconds for p in catalog)).tofile(self._out)
+        array("d", (p.introduced_at for p in catalog)).tofile(self._out)
+
+    def write_chunk(self, index: int, start_hour: int, end_hour: int,
+                    start_times: Any, user_ids: Any, program_ids: Any,
+                    durations: Any) -> None:
+        """Append one non-empty chunk of four equal-length column buffers."""
+        n = len(start_times)
+        self._out.write(_CHUNK.pack(index, start_hour, end_hour, n))
+        for column in (start_times, user_ids, program_ids, durations):
+            self._out.write(column)
+        self._n_chunks += 1
+        self._n_records += n
+
+    def close(self) -> SliceHandle:
+        """Flush the file and return its handle."""
+        self._out.close()
+        return SliceHandle(self.path, self._n_users, self._n_programs,
+                           self._n_chunks, self._n_records)
+
+    def discard(self) -> None:
+        """Close and delete the file (idempotent)."""
+        self._out.close()
+        unlink_slice(self.path)
+
+
+class SliceReader:
+    """Read a slice file back: catalog up front, chunks on demand.
+
+    Opening checks the size against the handle and the header against
+    its counts, raising :class:`~repro.errors.TraceError` on a mismatch
+    (``OSError`` if the file is gone).  Use as a context manager, or
+    drain :meth:`chunks` to the end.
+    """
+
+    def __init__(self, handle: SliceHandle) -> None:
+        self._handle = handle
+        self._file = open(handle.path, "rb")
         try:
-            magic, fn, fm, fusers = _HEADER.unpack_from(self._mapped, 0)
-            if magic != _MAGIC or (fn, fm, fusers) != (n, m, handle.n_users):
+            if os.fstat(self._file.fileno()).st_size != handle.size:
                 raise TraceError(
-                    f"trace share {handle.path} header does not match its "
+                    f"slice file {handle.path} has the wrong size for "
+                    f"{handle.n_chunks} chunks / {handle.n_records} records"
+                )
+            magic, n_users, n_programs = _HEADER.unpack(
+                self._file.read(_HEADER.size))
+            if (magic, n_users, n_programs) != (
+                    _MAGIC, handle.n_users, handle.n_programs):
+                raise TraceError(
+                    f"slice file {handle.path} header does not match its "
                     f"handle (corrupt or stale file)"
                 )
-            view = memoryview(self._mapped)
-            self._views.append(view)
-            offset = _HEADER.size
-            sections = []
-            for code, count in (("d", n), ("d", n), ("q", n), ("q", n),
-                                ("d", m), ("d", m)):
-                size = 8 * count
-                section = view[offset:offset + size].cast(code)
-                self._views.append(section)
-                sections.append(section)
-                offset += size
-            starts, durations, users, programs, lengths, introduced = sections
-            self.start_times = starts
-            self.durations = durations
-            self.user_ids = users
-            self.program_ids = programs
-            self.catalog = catalog_from_columns(lengths, introduced)
-            self.n_users = handle.n_users
+            lengths = self._column("d", n_programs)
+            introduced = self._column("d", n_programs)
+            self.catalog = Catalog([
+                Program(program_id=i, length_seconds=length, introduced_at=at)
+                for i, (length, at) in enumerate(zip(lengths, introduced))
+            ])
+            self.n_users: int = n_users
         except BaseException:
-            self.close()
+            self._file.close()
             raise
 
-    def close(self) -> None:
-        """Release every view and the mapping (idempotent)."""
-        for section in reversed(self._views):
-            section.release()
-        self._views.clear()
-        if self._mapped is not None:
-            self._mapped.close()
-            self._mapped = None
+    def _column(self, code: str, count: int) -> List[Any]:
+        column = array(code)
+        column.fromfile(self._file, count)
+        return column.tolist()
 
-    def __enter__(self) -> "SharedColumns":
+    def chunks(self) -> Iterator[TraceChunk]:
+        """Yield every chunk in file order, then close the file."""
+        with self._file:
+            for _ in range(self._handle.n_chunks):
+                index, h0, h1, n = _CHUNK.unpack(self._file.read(_CHUNK.size))
+                yield TraceChunk(index, h0, h1, self._column("d", n),
+                                 self._column("q", n), self._column("q", n),
+                                 self._column("d", n))
+
+    def materialize(self) -> Trace:
+        """Concatenate every chunk into one ``Trace`` (global ids)."""
+        starts: List[float] = []
+        users: List[int] = []
+        programs: List[int] = []
+        durations: List[float] = []
+        for chunk in self.chunks():
+            starts.extend(chunk.start_times)
+            users.extend(chunk.user_ids)
+            programs.extend(chunk.program_ids)
+            durations.extend(chunk.durations)
+        return Trace.from_columns(starts, users, programs, durations,
+                                  self.catalog, self.n_users)
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "SliceReader":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.close()
 
 
-def attach_columns(handle: TraceShareHandle) -> SharedColumns:
-    """Map ``handle``'s column file into typed views (no records built)."""
-    return SharedColumns(handle)
+def publish_trace(trace: Trace, directory: Optional[str] = None) -> SliceHandle:
+    """Write ``trace`` as a one-chunk slice file; return its handle.
 
-
-def attach_trace(handle: TraceShareHandle) -> Trace:
-    """Rebuild the published trace by mapping ``handle``'s column file.
-
-    The file is mapped read-only and sliced into typed memoryviews;
-    record objects are built straight off those views (the only copy in
-    the whole hand-off).  Corrupt or truncated files raise
-    :class:`~repro.errors.TraceError` -- and ``Trace.from_columns``
-    re-checks the ordering/id invariants -- rather than feeding a
-    damaged trace to a simulation.
+    The chunk is the one a one-shard split of the same materialized
+    trace writes (index and window bounds 0), so the two files are
+    byte-identical.  The caller owns the file (:func:`unlink_slice`),
+    whose lifetime must cover every attach.  ``OSError`` (no space,
+    unwritable dir) propagates; callers fall back to regenerating.
     """
-    with attach_columns(handle) as cols:
-        return Trace.from_columns(cols.start_times, cols.user_ids,
-                                  cols.program_ids, cols.durations,
-                                  cols.catalog, cols.n_users)
+    records = trace.records
+    writer = SliceWriter(trace.catalog, trace.n_users, directory)
+    try:
+        if records:
+            # Generator feeds: no n-element intermediate list per column.
+            writer.write_chunk(
+                0, 0, 0, array("d", trace.start_times),
+                array("q", (r.user_id for r in records)),
+                array("q", (r.program_id for r in records)),
+                array("d", (r.duration_seconds for r in records)),
+            )
+    except BaseException:
+        writer.discard()
+        raise
+    return writer.close()
 
 
-def unlink_trace(handle: TraceShareHandle) -> None:
-    """Delete a published column file (idempotent).
+def attach_columns(handle: SliceHandle) -> SliceReader:
+    """Open ``handle``'s slice file (catalog read, no records built)."""
+    return SliceReader(handle)
 
-    Safe while workers still hold mappings: on POSIX the pages live
-    until the last map goes away.
+
+def attach_trace(handle: SliceHandle) -> Trace:
+    """Rebuild the trace in ``handle``'s slice file, every chunk in order.
+
+    Corrupt or truncated files raise :class:`~repro.errors.TraceError`
+    -- and ``Trace.from_columns`` re-checks the ordering and id
+    invariants -- rather than feeding a damaged trace to a simulation.
+    """
+    with attach_columns(handle) as reader:
+        return reader.materialize()
+
+
+def unlink_slice(path: str) -> None:
+    """Delete a slice file (idempotent).
+
+    Safe while a reader still has it open: on POSIX the bytes live
+    until the last descriptor goes away.
     """
     try:
-        os.unlink(handle.path)
+        os.unlink(path)
     except FileNotFoundError:
         pass

@@ -40,7 +40,7 @@ from typing import Iterator, List, Optional, Sequence
 from repro import units
 from repro.errors import ConfigurationError
 from repro.sim.random_streams import RandomStreams
-from repro.trace.records import Catalog, SessionRecord, Trace
+from repro.trace.records import Catalog, SessionRecord, Trace, TraceChunk
 from repro.trace.synthetic import (
     PowerInfoModel,
     _arrival_profile,
@@ -56,56 +56,6 @@ from repro.trace.synthetic import (
 #: hundred thousand sessions -- tens of MB of columns, far under the
 #: whole-trace footprint, while still amortizing per-chunk overhead.
 DEFAULT_CHUNK_HOURS = 6
-
-
-class TraceChunk:
-    """One contiguous span of simulated hours' worth of sessions.
-
-    Columns are plain python lists (the same values ``Trace.from_columns``
-    would ingest), already sorted by ``(start_time, user_id,
-    program_id)``.  Not a dataclass and no ``__slots__`` on purpose:
-    the bounded-memory test holds weakrefs to yielded chunks.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        start_hour: int,
-        end_hour: int,
-        start_times: List[float],
-        user_ids: List[int],
-        program_ids: List[int],
-        durations: List[float],
-    ) -> None:
-        self.index = index
-        self.start_hour = start_hour
-        self.end_hour = end_hour
-        self.start_times = start_times
-        self.user_ids = user_ids
-        self.program_ids = program_ids
-        self.durations = durations
-
-    @property
-    def start_second(self) -> float:
-        """Chunk window start (inclusive), in simulated seconds."""
-        return self.start_hour * float(units.SECONDS_PER_HOUR)
-
-    @property
-    def end_second(self) -> float:
-        """Chunk window end (exclusive), in simulated seconds."""
-        return self.end_hour * float(units.SECONDS_PER_HOUR)
-
-    def __len__(self) -> int:
-        return len(self.start_times)
-
-    def records(self) -> List[SessionRecord]:
-        """Materialize this chunk's rows as ``SessionRecord`` objects.
-
-        Built fresh on every call (no caching) so a replay driver that
-        drops the returned list keeps peak memory at one chunk.
-        """
-        return list(map(SessionRecord, self.start_times, self.user_ids,
-                        self.program_ids, self.durations))
 
 
 class TraceStream:

@@ -1,4 +1,4 @@
-"""Zero-copy sweep hand-off: attach vs. regenerate, proven equivalent.
+"""Sweep trace hand-off: attach vs. regenerate, proven equivalent.
 
 The acceptance contract for the shared-trace path: multi-worker sweeps
 must produce rows bit-identical to the serial and the regenerate paths,
@@ -48,6 +48,16 @@ def _fingerprint(outcomes):
     ]
 
 
+def _fail_publishes(monkeypatch):
+    """Make every publish fail, so workers regenerate their traces."""
+    from repro.core import parallel
+
+    def failing_publish(trace, directory=None):
+        raise OSError("tmp is full")
+
+    monkeypatch.setattr(parallel, "publish_trace", failing_publish)
+
+
 def _clear_trace_caches():
     synthetic._cached_trace.cache_clear()
     workload_mod._cached_population_trace.cache_clear()
@@ -62,7 +72,7 @@ class TestBitIdentity:
 
     def test_shared_rows_match_regenerate(self, monkeypatch):
         shared = _fingerprint(iter_task_results(_tasks(), workers=2))
-        monkeypatch.setenv("REPRO_TRACE_SHARE", "off")
+        _fail_publishes(monkeypatch)
         regenerated = _fingerprint(iter_task_results(_tasks(), workers=2))
         assert shared == regenerated
 
@@ -71,7 +81,7 @@ class TestBitIdentity:
         # attach and regenerate must agree bit-for-bit there too.
         monkeypatch.setenv("REPRO_TRACE_BACKEND", "python")
         shared = _fingerprint(iter_task_results(_tasks(), workers=2))
-        monkeypatch.setenv("REPRO_TRACE_SHARE", "off")
+        _fail_publishes(monkeypatch)
         regenerated = _fingerprint(iter_task_results(_tasks(), workers=2))
         assert shared == regenerated
 
@@ -107,7 +117,7 @@ class TestCountTheGenerations:
         assert worker_generations.value == 1
 
     def test_regenerate_path_pays_per_worker(self, monkeypatch):
-        # The same sweep with sharing off: cold workers regenerate, so
+        # The same sweep with no publish: cold workers regenerate, so
         # the counter exceeds the single parent-side generation -- the
         # cost the share removes.
         _clear_trace_caches()
@@ -120,7 +130,7 @@ class TestCountTheGenerations:
             return real_generate(model, backend=backend)
 
         monkeypatch.setattr(synthetic, "generate_trace", counting)
-        monkeypatch.setenv("REPRO_TRACE_SHARE", "off")
+        _fail_publishes(monkeypatch)
         outcomes = _fingerprint(iter_task_results(_tasks(), workers=2))
         assert len(outcomes) == len(_tasks())
         assert generations.value >= 2
@@ -144,12 +154,7 @@ class TestCountTheGenerations:
 class TestFallback:
     def test_publish_failure_falls_back_to_regeneration(self, monkeypatch):
         # An unwritable share target must degrade, not fail the sweep.
-        from repro.core import parallel
-
-        def failing_publish(trace, directory=None):
-            raise OSError("tmp is full")
-
-        monkeypatch.setattr(parallel, "publish_trace", failing_publish)
+        _fail_publishes(monkeypatch)
         serial = _fingerprint(iter_task_results(_tasks(), workers=1))
         degraded = _fingerprint(iter_task_results(_tasks(), workers=2))
         assert degraded == serial
@@ -157,11 +162,11 @@ class TestFallback:
     def test_stale_handle_falls_back_in_worker(self, monkeypatch):
         # A handle whose file vanished mid-sweep degrades worker-side.
         from repro.core.parallel import _execute_shared
-        from repro.trace.share import TraceShareHandle
+        from repro.trace.share import SliceHandle
 
         task = _tasks()[0]
-        gone = TraceShareHandle(path="/nonexistent/trace.cols",
-                                n_records=1, n_programs=1, n_users=1)
+        gone = SliceHandle(path="/nonexistent/trace.cols", n_users=1,
+                           n_programs=1, n_chunks=1, n_records=1)
         result, baselines = _execute_shared((task, gone))
         ref, ref_baselines = _execute_shared((task, None))
         assert result.counters == ref.counters
@@ -174,13 +179,13 @@ class TestFallback:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         outcomes = _fingerprint(iter_task_results(_tasks(), workers=2))
         assert len(outcomes) == len(_tasks())
-        assert glob.glob(str(tmp_path / "repro-trace-*")) == []
+        assert glob.glob(str(tmp_path / "repro-slice-*")) == []
 
 
 class TestPublishPolicy:
     def test_only_shared_workloads_published(self):
         from repro.core.parallel import _iter_task_payloads
-        from repro.trace.share import unlink_trace
+        from repro.trace.share import unlink_slice
 
         tasks = _tasks()
         handles = {}
@@ -199,14 +204,14 @@ class TestPublishPolicy:
             ]
         finally:
             for handle in handles.values():
-                unlink_trace(handle)
+                unlink_slice(handle.path)
 
     def test_publish_is_lazy(self):
         # Nothing is published until the first payload is pulled: the
         # pool's feeder thread drives this generator, so publishes
         # overlap running simulations instead of fronting the sweep.
         from repro.core.parallel import _iter_task_payloads
-        from repro.trace.share import unlink_trace
+        from repro.trace.share import unlink_slice
 
         handles = {}
         payloads = _iter_task_payloads(_tasks(), handles)
@@ -217,13 +222,13 @@ class TestPublishPolicy:
         finally:
             payloads.close()
             for handle in handles.values():
-                unlink_trace(handle)
+                unlink_slice(handle.path)
 
     def test_first_failure_keeps_earlier_handles(self, monkeypatch):
         # A publish failure mid-stream stops *further* publishing but
         # keeps serving already-published workloads.
         from repro.core import parallel
-        from repro.trace.share import unlink_trace
+        from repro.trace.share import unlink_slice
 
         base = SimulationConfig(neighborhood_size=60, warmup_days=0.5)
         other = Workload(model=MODEL, population_x=2)
@@ -253,7 +258,7 @@ class TestPublishPolicy:
             ]
         finally:
             for handle in handles.values():
-                unlink_trace(handle)
+                unlink_slice(handle.path)
 
 
 class TestBackendEnvRestore:
@@ -339,11 +344,13 @@ class TestSliceCleanup:
     def test_poisoned_worker_cleans_up(self, spill_dir, monkeypatch, workers):
         from repro.core.system import CableVoDSystem
 
+        from repro.errors import ReproError
+
         def poisoned(self, chunks=None, admission=None):
             raise RuntimeError("poisoned shard worker")
 
         monkeypatch.setattr(CableVoDSystem, "run", poisoned)
-        with pytest.raises(RuntimeError, match="poisoned"):
+        with pytest.raises(ReproError, match="'drill'.*poisoned"):
             list(iter_task_results(_shard_tasks(), workers=workers))
         assert _leftovers(spill_dir) == []
 
@@ -364,7 +371,7 @@ class TestSpillFailure:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_write_cleans_up(self, spill_dir, monkeypatch, workers):
         from repro.errors import ReproError
-        from repro.trace.spill import SliceWriter
+        from repro.trace.share import SliceWriter
 
         real_write = SliceWriter.write_chunk
         writes = []
@@ -415,3 +422,82 @@ class TestSpillFailure:
         assert "metro-east" in capsys.readouterr().err
         assert not out.exists()
         assert not missing.exists()
+
+
+def _poison_replays(monkeypatch):
+    from repro.core.system import CableVoDSystem
+
+    def poisoned(self, chunks=None, admission=None):
+        raise RuntimeError("poisoned worker")
+
+    monkeypatch.setattr(CableVoDSystem, "run", poisoned)
+
+
+class TestLabelledFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_unsharded_task_names_the_scenario(
+            self, spill_dir, monkeypatch, workers):
+        from dataclasses import replace
+
+        from repro.errors import ReproError
+
+        _poison_replays(monkeypatch)
+        tasks = [replace(task, label="drill") for task in _tasks()]
+        with pytest.raises(ReproError, match="scenario 'drill'") as caught:
+            list(iter_task_results(tasks, workers=workers))
+        assert "poisoned worker" in str(caught.value)
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert _leftovers(spill_dir) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_library_error_keeps_its_class(self, monkeypatch, workers):
+        from dataclasses import replace
+
+        from repro.core.system import CableVoDSystem
+        from repro.errors import SimulationError
+
+        def refused(self, chunks=None, admission=None):
+            raise SimulationError("refused replay")
+
+        monkeypatch.setattr(CableVoDSystem, "run", refused)
+        tasks = [replace(task, label="drill") for task in _tasks()]
+        with pytest.raises(SimulationError,
+                           match="^scenario 'drill': refused replay$"):
+            list(iter_task_results(tasks, workers=workers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_split_error_is_not_wrapped_again(self, tmp_path, monkeypatch,
+                                              workers):
+        import tempfile
+
+        from repro.errors import ReproError
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(ReproError) as caught:
+            list(iter_task_results(_shard_tasks("metro-east"),
+                                   workers=workers))
+        message = str(caught.value)
+        assert message.startswith("scenario 'metro-east': cannot write")
+        assert message.count("metro-east") == 1
+
+    def test_cli_exits_2_without_csv_or_files(self, tmp_path, spill_dir,
+                                              monkeypatch, capsys):
+        from repro.cli import main
+        from repro.core import parallel
+        from repro.scenario import Scenario
+
+        scenario = Scenario(
+            trace=SHARDED.model, label="metro-east", shards=3, streaming=True,
+            config=SimulationConfig(neighborhood_size=60, warmup_days=0.5),
+        )
+        path = tmp_path / "metro.json"
+        path.write_text(scenario.to_json())
+        out = tmp_path / "rows.csv"
+        monkeypatch.setattr(parallel, "_default_workers", None)
+        _poison_replays(monkeypatch)
+        code = main(["run", str(path), "--workers", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "metro-east" in err and "poisoned worker" in err
+        assert not out.exists()
+        assert _leftovers(spill_dir) == []
