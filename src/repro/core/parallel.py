@@ -58,7 +58,8 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
-from repro.core.runner import run_simulation
+from repro.core.runner import resolve_engine
+from repro.core.system import CableVoDSystem
 from repro.errors import ConfigurationError, ReproError, TraceError
 from repro.trace.records import Trace
 from repro.trace.share import SliceHandle, publish_trace, unlink_slice
@@ -127,11 +128,11 @@ class SimulationTask:
     config:
         Deployment and policy knobs for the run.
     engine:
-        Event-engine path forwarded to
-        :func:`~repro.core.runner.run_simulation`; ``None`` (default)
-        lets the running process resolve it (``REPRO_ENGINE``, then
-        ``"auto"``), which pool workers inherit from the parent's
-        environment.
+        Event-engine path; ``None`` (default) lets the running process
+        resolve it (``REPRO_ENGINE``, then ``"auto"``), which pool
+        workers inherit from the parent's environment.  A live task
+        takes ``"bucket"`` and refuses any other engine, as a live
+        scenario does.
     baselines:
         Names of baseline metrics (:data:`repro.baselines.registry`)
         to compute from this task's trace; the values come back in the
@@ -166,12 +167,18 @@ class SimulationTask:
                 "baseline metrics are whole-trace analytics; request them "
                 "on an unsharded task"
             )
-        if (self.live is not None and self.shard is not None
-                and self.shard.n_shards > 1):
-            raise ConfigurationError(
-                "live mode is a single arrival-order drain; it cannot "
-                "ride on a shard task of a cut plant"
-            )
+        if self.live is not None:
+            if self.engine not in (None, "bucket"):
+                raise ConfigurationError(
+                    f"live mode drains on the bucket engine only "
+                    f"(got engine={self.engine!r})"
+                )
+            object.__setattr__(self, "engine", "bucket")
+            if self.shard is not None and self.shard.n_shards > 1:
+                raise ConfigurationError(
+                    "live mode is a single arrival-order drain; it cannot "
+                    "ride on a shard task of a cut plant"
+                )
 
     def admission(self):
         """A fresh admission controller for a live task, else ``None``."""
@@ -219,13 +226,9 @@ def _task_baselines(task: SimulationTask, trace: Trace) -> Dict[str, float]:
 
 def _run_on_trace(task: SimulationTask, trace: Trace) -> TaskOutcome:
     """Run one unsharded task on its trace: live or offline, plus baselines."""
-    admission = task.admission()
-    if admission is None:
-        result = run_simulation(trace, task.config, engine=task.engine)
-    else:
-        from repro.core.system import CableVoDSystem
-
-        result = CableVoDSystem(trace, task.config).run(admission=admission)
+    result = CableVoDSystem(trace, task.config,
+                            engine=resolve_engine(task.engine)
+                            ).run(admission=task.admission())
     return result, _task_baselines(task, trace)
 
 

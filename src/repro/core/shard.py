@@ -26,14 +26,13 @@ serial or pooled:
   shard task is dispatched (on the pool's feeder thread, after the
   workers forked), and unlinks the files once their tasks have
   returned;
-* **the replay, once per shard** -- :func:`execute_shard_task` reads
-  its slice back: a streaming shard drains it chunk by chunk through
-  :meth:`~repro.core.system.CableVoDSystem.run`, so resident
-  session columns stay O(chunk); a materialized shard attaches it
-  whole, as a sweep worker attaches a published trace
-  (:func:`~repro.trace.share.attach_trace`), for any engine.  Slices
-  keep global user ids and the global ``n_users``, so placement and
-  strategies see the unsharded world.
+* **the replay, once per shard** -- :func:`execute_shard_task` drains
+  its slice back chunk by chunk through
+  :meth:`~repro.core.system.CableVoDSystem.run` on the task's resolved
+  engine, so resident session columns stay O(chunk) on either engine;
+  a materialized run's slice is simply one chunk.  Slices keep global
+  user ids and the global ``n_users``, so placement and strategies see
+  the unsharded world.
 
 Generation, placement and filtering are thus paid once per run instead
 of once per shard.
@@ -237,7 +236,8 @@ def split_shard_slices(task, stop: Optional[threading.Event] = None
         catalog, chunks = stream.catalog, stream.chunks()
     else:
         trace = cached_workload_trace(workload)
-        # One chunk; a materialized shard never reads its window bounds.
+        # One chunk with window bounds 0: its drain starts at once, and
+        # the columnar schedule finalizes its windows at exhaustion.
         catalog, chunks = trace.catalog, [TraceChunk(0, 0, 0,
                                                      *trace.columns())]
     writers: List[SliceWriter] = []
@@ -339,28 +339,25 @@ def execute_shard_task(task, shard_slice: SliceHandle) -> SimulationResult:
 
     ``task`` is a :class:`~repro.core.parallel.SimulationTask` whose
     ``shard`` field is set; ``shard_slice`` is the slice
-    :func:`split_shard_slices` wrote for it.  Streaming shards run on
-    the bucket engine regardless of the requested engine -- the engines
-    are bit-identical, so this is the same silent demotion ``columnar``
-    makes when numpy is missing.  A live task (one shard of the whole
-    plant) drains through admission.
+    :func:`split_shard_slices` wrote for it.  Every shard, streamed or
+    not, drains its slice chunk by chunk on the task's resolved engine;
+    a live task (one shard of the whole plant) drains through
+    admission.  A future-knowledge strategy (never streamed) also gets
+    the slice's materialized trace to take its futures from.
     """
     spec = task.shard
     config = task.config
-    validate_shard_plan(task.workload, config, spec.n_shards, spec.streaming)
     groups = shard_neighborhood_groups(task.workload, config, spec.n_shards)
-    ids = list(groups[spec.index])
-    admission = task.admission()
-    if not spec.streaming:
-        return CableVoDSystem(attach_trace(shard_slice), config,
-                              engine=resolve_engine(task.engine),
-                              neighborhood_ids=ids).run(admission=admission)
+    trace = (attach_trace(shard_slice)
+             if config.strategy.requires_future_knowledge else None)
     with attach_columns(shard_slice) as reader:
         system = CableVoDSystem(
-            None, config, engine="bucket", neighborhood_ids=ids,
+            trace, config, engine=resolve_engine(task.engine),
+            neighborhood_ids=list(groups[spec.index]),
             catalog=reader.catalog, n_users=reader.n_users,
         )
-        return system.run(_filtered_chunks(reader), admission=admission)
+        return system.run(_filtered_chunks(reader),
+                          admission=task.admission())
 
 
 def run_sharded(

@@ -21,7 +21,7 @@ import dataclasses
 import math
 import os
 import time as _time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.cache.factory import BuildInputs
@@ -36,15 +36,15 @@ from repro.core.results import SimulationCounters, SimulationResult
 from repro.peers.settop import SetTopBox
 from repro.sim.engine import Simulator
 from repro.topology.placement import shared_plant
-from repro.trace.records import SessionRecord, Trace
+from repro.trace.records import SessionRecord, Trace, TraceChunk
 
 
 #: Engine selectors: ``"columnar"`` precomputes the event stream as
 #: numpy arrays, window by window (the fast path with numpy);
 #: ``"bucket"`` replays sessions as tick-bucketed arcs (the scalar
-#: reference, the fallback, and the chunked and live drains).  Both
-#: produce bit-identical counters and meter buckets for the same
-#: trace/config.
+#: reference, the fallback, and the live drain).  Both drain chunk
+#: streams and produce bit-identical counters and meter buckets for the
+#: same trace/config.
 ENGINE_MODES = ("bucket", "columnar")
 
 #: Deliveries the bucket engine logs before folding them into counters
@@ -69,6 +69,20 @@ def columnar_supported() -> bool:
     except ImportError:  # pragma: no cover - exercised via monkeypatch
         return False
     return True
+
+
+class _RecordChunk:
+    """A trace as one bucket-drain chunk (window bounds 0) over its own
+    start column and records, so no record is built anew."""
+
+    start_second = 0.0
+
+    def __init__(self, trace: Trace) -> None:
+        self.start_times = trace.start_times
+        self._records = trace.records
+
+    def records(self) -> Sequence[SessionRecord]:
+        return self._records
 
 
 class CableVoDSystem:
@@ -420,52 +434,56 @@ class CableVoDSystem:
             admission=None) -> SimulationResult:
         """Replay the session stream and collect the results.
 
-        With ``chunks=None`` the system's own trace is replayed: the
-        columnar engine walks its precomputed schedule and the bucket
-        engine preloads the start storm as calendar slabs.  Otherwise
-        ``chunks`` yields :class:`~repro.trace.streaming.TraceChunk`-shaped objects
-        (ascending, non-overlapping) with O(chunk) resident records:
-        per chunk the clock first drains to just below the chunk's
-        window start -- the horizon-aware run leaves every later bucket
-        unactivated -- then the chunk's starts extend the calendar as
-        slabs whose columns are dropped once their buckets drain.  The
-        chunked replay is bit-identical to the materialized one (the
-        sequence-band argument is laid out in
-        ``Simulator.extend_starts``), including ``trace_end_time``, the
-        max session end over the replayed records.
+        Every replay is a chunk replay: ``chunks`` yields
+        :class:`~repro.trace.streaming.TraceChunk`-shaped objects
+        (ascending, non-overlapping) with O(chunk) resident records,
+        and ``chunks=None`` replays the system's own trace as one chunk
+        with window bounds 0.  On ``bucket`` the clock drains to just
+        below each chunk's window start -- the horizon-aware run leaves
+        every later bucket unactivated -- then the chunk's starts
+        extend the calendar as slabs whose columns are dropped once
+        their buckets drain; ``columnar`` walks the schedule
+        :func:`~repro.sim.columnar.build_schedule` builds from the
+        chunks.  Starts are numbered 0, 1, 2, ... chunk after chunk
+        below a dynamic band (``Simulator.extend_starts``), so any
+        chunking replays bit-identically, including
+        ``trace_end_time``, the max session end over the records.
 
         ``admission`` (an
         :class:`~repro.live.admission.AdmissionController`) turns the
-        drain into the live headend mode (:mod:`repro.live`), over
-        either source: session starts pass through it *before* they
-        reach the index server -- admitted requests start exactly as
-        the offline replay starts them, deferred requests are re-decided
-        after their retry-after (watching whatever remains of their
-        session window), denied requests never touch the plant.  The
-        result carries the controller's per-user accounting as
-        ``result.live``.  A controller built from no-op specs
-        (unlimited windows, unlimited lead) is bit-identical to the
-        offline replay (tests/live/test_live_equivalence.py).
+        drain into the live headend mode (:mod:`repro.live`): session
+        starts pass through it *before* they reach the index server --
+        admitted requests start exactly as the offline replay starts
+        them, deferred requests are re-decided after their retry-after
+        (watching whatever remains of their session window), denied
+        requests never touch the plant.  The result carries the
+        controller's per-user accounting as ``result.live``.  A
+        controller built from no-op specs (unlimited windows, unlimited
+        lead) is bit-identical to the offline replay
+        (tests/live/test_live_equivalence.py).
 
-        Chunks and admission drain on the bucket engine only.  A
-        refused call raises :class:`SimulationError` before the
-        system's one replay is claimed.
+        A refused call -- admission off ``bucket``, or a traceless
+        system without chunks -- raises :class:`SimulationError` before
+        the system's one replay is claimed.
         """
         if chunks is None and self._trace is None:
             raise SimulationError(
                 "this system was built traceless; feed it chunks via "
                 "run(chunks)"
             )
-        if self._engine != "bucket" and (chunks is not None
-                                         or admission is not None):
+        if admission is not None and self._engine != "bucket":
             raise SimulationError(
-                f"chunked and live replays drain on the bucket engine "
-                f"only (got {self._engine!r})"
+                f"admission drains on the bucket engine only (got "
+                f"{self._engine!r})"
             )
         started = self._start_run()
+        if chunks is None:
+            # From what the engine reads anyway: no second trace copy.
+            trace = self._trace
+            chunks = [TraceChunk(0, 0, 0, *trace.columns())
+                      if self._engine == "columnar" else _RecordChunk(trace)]
         if self._engine == "columnar":
-            events_processed = self._run_columnar()
-            end_time = self._trace.end_time
+            events_processed, end_time = self._run_columnar(chunks)
         else:
             sim = self._sim
             callback = self._start_session_fast
@@ -473,26 +491,15 @@ class CableVoDSystem:
                 admission.bind([n.size for n in self._selected])
                 self._live = admission
                 callback = self._live_request
-            if chunks is not None:
-                end_time = 0.0
-                for chunk in chunks:
-                    bound = chunk.start_second
-                    if bound > sim.now:
-                        sim.run(until=math.nextafter(bound, -math.inf))
-                    records = chunk.records()
-                    if records:
-                        end_time = max(end_time,
-                                       max(r.end_time for r in records))
-                    sim.extend_starts(chunk.start_times, callback, records)
-            else:
-                # The trace's chronological invariant makes the whole
-                # start storm one slab preload: per-bucket slices of the
-                # trace's own columns, no per-session registration in
-                # the drain loop.  Bit-identical to an at() loop over
-                # the records (tests/sim/test_tickqueue.py).
-                end_time = self._trace.end_time
-                sim.preload_starts(self._trace.start_times, callback,
-                                   self._trace.records)
+            end_time = 0.0
+            for chunk in chunks:
+                bound = chunk.start_second
+                if bound > sim.now:
+                    sim.run(until=math.nextafter(bound, -math.inf))
+                records = chunk.records()
+                end_time = max(end_time, max((r.end_time for r in records),
+                                             default=0.0))
+                sim.extend_starts(chunk.start_times, callback, records)
             sim.run()
             events_processed = sim.events_processed
         result = self._build_result(events_processed, end_time, started)
@@ -576,8 +583,8 @@ class CableVoDSystem:
     # Columnar replay
     # ------------------------------------------------------------------
 
-    def _run_columnar(self) -> int:
-        """Replay the trace over its columnar schedule, window by window.
+    def _run_columnar(self, chunks: Iterable) -> Tuple[int, float]:
+        """Replay ``chunks`` over their columnar schedule, window by window.
 
         :func:`~repro.sim.columnar.build_schedule` yields every event
         the drain loop would fire, in the engine's exact firing order,
@@ -592,72 +599,61 @@ class CableVoDSystem:
         :meth:`_fold` once per window, the same fold the bucket engine
         runs over its delivery log, keeping the engine bit-for-bit
         equal to ``bucket`` (tests/core/test_engine_equivalence.py).
+        Returns the event count and the max session end.
         """
         import numpy as np
 
         from repro.sim.columnar import build_schedule
 
-        trace = self._trace
-        starts, user_ids, program_ids, durations = trace.columns()
-
-        # Per-record derived columns: neighborhood of the requesting
-        # user and the playback-lease end time (the same ``start +
-        # duration`` float sum open_stream would compute).
-        user_col = np.asarray(user_ids, dtype=np.int64)
-        record_nbhd = np.asarray(self._user_neighborhood,
-                                 dtype=np.int64)[user_col]
-        lease_ends = (np.asarray(starts, dtype=np.float64)
-                      + np.asarray(durations, dtype=np.float64)).tolist()
-
+        nbhd_of_user = np.asarray(self._user_neighborhood, dtype=np.int64)
         # Bound-method and plain-list lookups hoisted out of the loop;
         # .tolist() because iterating numpy arrays yields numpy scalars,
         # which are several times slower in the interpreter.
         session_starts = [s.on_session_start for s in self._servers]
         request_code = [s.request_segment_code for s in self._servers]
-        lease_of_user = [None] * trace.n_users
+        lease_of_user = [None] * len(self._user_neighborhood)
         for boxes in self._boxes:
             for user_id, box in boxes.items():
                 lease_of_user[user_id] = box.grant_playback_lease
         feed = self._feed
         events = 0
+        end_time = 0.0
 
-        for schedule in build_schedule(starts, durations, program_ids,
-                                       self._last_segment):
+        for schedule in build_schedule(chunks, self._last_segment):
             events += schedule.n_events
-            event_nbhd = record_nbhd[schedule.rec]
+            event_nbhd = nbhd_of_user[schedule.user]
             # Walk op per event: 0 = session start delivering segment 0,
             # 1 = session start whose first segment is float noise
             # (session bookkeeping only), 2 = arc delivery.
-            op = np.where(schedule.is_start,
+            op = np.where(schedule.segment == 0,
                           np.where(schedule.delivered, 0, 1), 2)
             codes: List[int] = []
             append_code = codes.append
 
-            for kind, now, watch, rec, nbhd, segment in zip(
-                op.tolist(), schedule.time.tolist(), schedule.watch.tolist(),
-                schedule.rec.tolist(), event_nbhd.tolist(),
-                schedule.segment.tolist(),
-            ):
+            for kind, now, watch, user_id, program_id, nbhd, segment, end in (
+                zip(op.tolist(), schedule.time.tolist(),
+                    schedule.watch.tolist(), schedule.user.tolist(),
+                    schedule.program.tolist(), event_nbhd.tolist(),
+                    schedule.segment.tolist(), schedule.end.tolist())):
                 if kind == 2:
                     append_code(request_code[nbhd](
-                        now, user_ids[rec], program_ids[rec], segment, watch
+                        now, user_id, program_id, segment, watch
                     ))
                 else:
-                    user_id = user_ids[rec]
-                    program_id = program_ids[rec]
                     if feed is not None:
                         feed.record(now, program_id, nbhd)
                     session_starts[nbhd](now, user_id, program_id)
-                    lease_of_user[user_id](lease_ends[rec])
+                    lease_of_user[user_id](end)  # the session's end
                     if kind == 0:
                         append_code(request_code[nbhd](
                             now, user_id, program_id, 0, watch
                         ))
 
+            end_time = float(schedule.end.max(initial=end_time))
             if codes:
                 delivered = schedule.delivered
                 self._fold(event_nbhd[delivered],
                            np.asarray(codes, dtype=np.int64),
                            expand_intervals(schedule.time[delivered],
                                             schedule.watch[delivered]))
-        return events
+        return events, end_time

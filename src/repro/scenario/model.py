@@ -165,8 +165,8 @@ class Scenario:
         Deployment and policy knobs (neighborhood, storage, strategy).
     engine:
         Event-engine path: ``"bucket"`` (default; the only engine live
-        and streamed replays drain on) or ``"columnar"`` (vectorized;
-        silently falls back to ``bucket`` when numpy is unavailable).
+        replays drain on) or ``"columnar"`` (vectorized; silently falls
+        back to ``bucket`` when numpy is unavailable).
         Both are bit-identical, so the choice only affects speed.
     seed:
         Optional workload-seed override; ``None`` uses ``trace.seed``.

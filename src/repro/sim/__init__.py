@@ -4,8 +4,8 @@ A small, deterministic discrete-event core in the style of SimPy's event
 loop but purpose-built for trace-driven network simulations:
 
 * :class:`~repro.sim.engine.Simulator` -- the event loop: schedule
-  callbacks at absolute simulated times, preload or extend the
-  session-start storm, and run until the queues drain (or until a
+  callbacks at absolute simulated times, extend the session-start
+  storm chunk by chunk, and run until the queues drain (or until a
   horizon).
 * :class:`~repro.sim.tickqueue.TickBucketQueue` /
   :class:`~repro.sim.tickqueue.SessionArc` -- the tick-bucketed fast

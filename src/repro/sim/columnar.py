@@ -12,27 +12,32 @@ over those arrays (``CableVoDSystem._run_columnar``) then performs only
 the *stateful* per-event work (strategy decisions, channel leases, cache
 fills) while metering and outcome counting move to vectorized folds.
 
-:func:`build_schedule` yields the stream in *windows* of
-:data:`WINDOW_TICKS` tick buckets, so one window of events is resident,
-not the whole run.  A window expands the sessions starting in it, level
-by level; events past its end are *carried* into the next window with
-their time, watch, record, level, delivered flag, child link and (once
-their parent has fired) sequence number.  One sequence counter runs
-across all windows, so the concatenated windows are the same stream at
-any width (``tests/sim/test_columnar.py``).  An empty gap is skipped:
-the next window opens at the earlier of the next start's bucket and the
-earliest carried event's bucket.
+:func:`build_schedule` reads the session starts from a stream of trace
+chunks and yields the event stream in *windows* of :data:`WINDOW_TICKS`
+tick buckets, so one window of events is resident, not the whole run.
+A window is final once a read chunk's ``end_second`` reaches its end,
+or at the stream's end (so a one-chunk stream with window bounds 0
+expands at exhaustion); it expands the sessions starting in it, level
+by level, and *carries* events past its end into the next window with
+their per-session columns, level, child link and (once their parent
+has fired) sequence number.  One sequence counter runs across all
+windows, so the concatenated windows are the same stream at any width
+and any chunking (``tests/sim/test_columnar.py``).  An empty gap is
+skipped: the next window opens at the earlier of the next start's
+bucket and the earliest carried event's bucket.
 
 Ordering contract (must match :mod:`repro.sim.engine` +
 :mod:`repro.sim.tickqueue` exactly):
 
 * global firing order is lexicographic ``(time, seq)``;
-* session start ``i`` (record ``i`` of the sorted trace) has
-  ``seq == i`` (``Simulator.preload_starts`` rebases the shared
-  counter past the slab);
+* session starts are numbered ``0, 1, 2, ...`` in trace order, chunk
+  after chunk -- the numbering ``Simulator.extend_starts`` gives them
+  on the bucket engine, for a whole trace and a chunk stream alike;
 * every event that *deposits* a continuation draws the next counter
-  value for its child at its own firing -- so arc-event seqs depend on
-  how starts and continuations interleave.
+  value for its child at its own firing, from the dynamic band that
+  starts at ``Simulator._STREAM_DYNAMIC_SEQ`` (``1 << 62``, above every
+  start) -- so arc-event seqs depend on how starts and continuations
+  interleave.
 
 The structural fact that makes seq assignment batchable: a continuation
 fires exactly ``SEGMENT_SECONDS`` after its parent, and the tick width
@@ -48,7 +53,7 @@ carried too.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import units
 
@@ -89,48 +94,65 @@ class ColumnarSchedule:
     ``n_events`` counts every event of the window the scalar engines
     would fire, including trailing arc steps that deliver nothing (the
     float-noise guard in the drain loop); the parallel arrays exclude
-    those no-ops, since they mutate no state.  ``rec`` / ``time`` /
-    ``watch`` / ``segment`` describe the remaining events in exact
-    firing order; ``is_start`` marks session starts (which do session
-    bookkeeping even when nothing is delivered) and ``delivered`` marks
-    events that request a segment (false only for starts whose first
-    segment is float noise).
+    those no-ops, since they mutate no state.  ``user`` / ``program`` /
+    ``end`` (the session's ``start + duration``) / ``time`` / ``watch``
+    / ``segment`` describe the remaining events in exact firing order;
+    segment 0 marks session starts (which do session bookkeeping even
+    when nothing is delivered) and ``delivered`` marks events that
+    request a segment (false only for starts whose first segment is
+    float noise).
     """
 
-    __slots__ = ("n_events", "rec", "time", "watch", "segment",
-                 "is_start", "delivered")
+    __slots__ = ("n_events", "user", "program", "end", "time", "watch",
+                 "segment", "delivered")
 
-    def __init__(self, n_events: int, rec: Array, time: Array, watch: Array,
-                 segment: Array, is_start: Array, delivered: Array) -> None:
+    def __init__(self, n_events: int, user: Array, program: Array,
+                 end: Array, time: Array, watch: Array, segment: Array,
+                 delivered: Array) -> None:
         self.n_events = n_events
-        self.rec = rec
+        self.user = user
+        self.program = program
+        self.end = end
         self.time = time
         self.watch = watch
         self.segment = segment
-        self.is_start = is_start
         self.delivered = delivered
 
 
-def _expand(s: Array, e: Array, last: Array, lo: int, hi: int,
-            base: int) -> List[Array]:
-    """Every event of sessions ``lo..hi-1``, as pool columns.
+def _read(pending: List[Array], chunk: Any) -> List[Array]:
+    """``pending`` plus ``chunk``'s starts: ``[start, end, user, program]``."""
+    import numpy as np
 
-    Returns ``[rec, time, watch, level, delivered, child, seq, bucket]``
-    in level-major order.  Level ``k`` is "the event that would deliver
-    segment ``k``" -- level 0 the session start, level ``k > 0`` the
-    ``(k-1)``-th arc step.  Iterating levels (bounded by the longest
-    program) with the sessions vectorized mirrors the scalar per-event
-    stepping: watch capping, the 1e-6 sliver guard, and the
-    continuation test use the exact scalar expressions.  ``child``
-    indexes the pool these columns are appended to at offset ``base``;
-    ``seq`` is the record index for starts and -1 until a parent fires.
+    s = np.asarray(chunk.start_times, dtype=np.float64)
+    read = [s, s + np.asarray(chunk.durations, dtype=np.float64),
+            np.asarray(chunk.user_ids, dtype=np.int64),
+            np.asarray(chunk.program_ids, dtype=np.int64)]
+    if not pending[0].size:
+        return read
+    return [np.concatenate(pair) for pair in zip(pending, read)]
+
+
+def _expand(starts: List[Array], hi: int, last_of: Array, base: int,
+            first_seq: int) -> List[Array]:
+    """Every event of the first ``hi`` sessions of ``starts``, as pool columns.
+
+    Returns ``[user, program, end, time, watch, level, delivered, child,
+    seq, bucket]`` in level-major order.  Level ``k`` is "the event
+    that would deliver segment ``k``" -- level 0 the session start,
+    level ``k > 0`` the ``(k-1)``-th arc step.  Iterating levels
+    (bounded by the longest program) with the sessions vectorized
+    mirrors the scalar per-event stepping: watch capping, the 1e-6
+    sliver guard, and the continuation test use the exact scalar
+    expressions.  ``child`` indexes the pool at offset ``base``;
+    ``seq`` numbers the starts from ``first_seq``, -1 elsewhere.
     """
     import numpy as np
 
+    s, e, user, program = starts
     levels: List[Tuple[Array, ...]] = []
-    alive = np.arange(lo, hi, dtype=np.int64)
-    t = s[lo:hi]
-    ends, lasts = e[lo:hi], last[lo:hi]
+    alive = np.arange(hi, dtype=np.int64)
+    t = s[:hi]
+    ends, lasts = e[:hi], last_of[program[:hi]]
     while True:  # level 0 always runs, so an empty range has typed columns
         watch = ends - t
         np.minimum(watch, _SEG, out=watch)
@@ -152,6 +174,7 @@ def _expand(s: Array, e: Array, last: Array, lo: int, hi: int,
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
     flat_time = np.concatenate(level_time)
+    rec = np.concatenate(level_rec)
 
     # Child pointer: the j-th continuing event of level k (in level-array
     # order) is the parent of the j-th event of level k + 1, because
@@ -163,9 +186,9 @@ def _expand(s: Array, e: Array, last: Array, lo: int, hi: int,
             sizes[level + 1], dtype=np.int64
         )
     seq = np.full(total, -1, dtype=np.int64)
-    seq[:hi - lo] = level_rec[0]
+    seq[:hi] = np.arange(first_seq, first_seq + hi, dtype=np.int64)
     return [
-        np.concatenate(level_rec),
+        user[rec], program[rec], e[rec],
         flat_time,
         np.concatenate(level_watch),
         np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
@@ -186,7 +209,8 @@ def _fire(pool: List[Array], end: int,
     """
     import numpy as np
 
-    rec, time, watch, level, delivered, child, seq, bucket = pool
+    (user, program, ends, time, watch, level, delivered, child, seq,
+     bucket) = pool
 
     # ------------------------------------------------------------------
     # Seq assignment: walk the window's tick buckets in time order.  Each
@@ -216,57 +240,72 @@ def _fire(pool: List[Array], end: int,
     # Arc steps whose watch collapsed to float noise fire but mutate
     # nothing -- drop them from the walk, keep them in the event count.
     walk = firing[delivered[firing] | (level[firing] == 0)]
-    segment = level[walk]
-    window = ColumnarSchedule(int(order.size), rec[walk], time[walk],
-                              watch[walk], segment, segment == 0,
-                              delivered[walk])
+    window = ColumnarSchedule(int(order.size), user[walk], program[walk],
+                              ends[walk], time[walk], watch[walk],
+                              level[walk], delivered[walk])
 
     carried = bucket >= end
     out = np.flatnonzero(carried)
     renumber = np.cumsum(carried) - 1
     out_child = child[out]
-    carry = [rec[out], time[out], watch[out], level[out], delivered[out],
-             np.where(out_child >= 0, renumber[out_child], -1),
-             seq[out], bucket[out]]
+    carry = [column[out] for column in pool]
+    carry[7] = np.where(out_child >= 0, renumber[out_child], -1)
     return window, carry, next_seq
 
 
 def build_schedule(
-    start_times: Sequence[float],
-    durations: Sequence[float],
-    program_ids: Sequence[int],
+    chunks: Iterable[Any],
     last_segment_by_program: Sequence[int],
 ) -> Iterator[ColumnarSchedule]:
-    """Yield the drain loop's event stream for one trace, window by window.
+    """Yield the drain loop's event stream from chunks, window by window.
 
-    Each window holds the events of :data:`WINDOW_TICKS` consecutive
-    tick buckets in firing order; an empty trace yields nothing.  Every
-    float here reproduces the scalar engines' arithmetic operation for
-    operation (same operands, same associativity), just elementwise
-    over a window's sessions -- which is what makes the columnar engine
+    ``chunks`` yields :class:`~repro.trace.records.TraceChunk`-shaped
+    objects, ascending and non-overlapping.  Each window holds the
+    events of :data:`WINDOW_TICKS` consecutive tick buckets in firing
+    order; a stream without starts yields nothing.  Every float here
+    reproduces the scalar engines' arithmetic operation for operation
+    (same operands, same associativity), just elementwise over a
+    window's sessions -- which is what makes the columnar engine
     bit-identical rather than merely close.
     """
     import numpy as np
 
-    s = np.asarray(start_times, dtype=np.float64)
-    d = np.asarray(durations, dtype=np.float64)
-    p = np.asarray(program_ids, dtype=np.int64)
-    n = s.size
-    last = np.asarray(last_segment_by_program, dtype=np.int64)[p]
-    e = s + d
-    start_bucket = _floor_div_exact(s, _SEG)
-    carry = _expand(s, e, last, 0, 0, 0)
-    next_seq = n  # starts hold seqs 0..n-1
-    lo = 0
-    while lo < n or carry[0].size:
-        heads = [int(start_bucket[lo])] if lo < n else []
+    from repro.sim.engine import Simulator
+
+    last_of = np.asarray(last_segment_by_program, dtype=np.int64)
+    # Starts read but not yet expanded, as _read's columns.
+    pending = [np.empty(0)] * 2 + [np.empty(0, dtype=np.int64)] * 2
+    carry = _expand(pending, 0, last_of, 0, 0)
+    first_seq, next_seq = 0, Simulator._STREAM_DYNAMIC_SEQ
+    source = iter(chunks)
+    # Every unread start's bucket is at or past this; None once the
+    # stream is exhausted.
+    horizon: Optional[int] = 0
+    while True:
+        # Python's float // is the exact floor (see _floor_div_exact).
+        heads = [int(float(pending[0][0]) // _SEG)] if pending[0].size else []
         if carry[0].size:
             heads.append(int(carry[-1].min()))  # earliest carried bucket
-        end = min(heads) + WINDOW_TICKS
-        hi = int(np.searchsorted(start_bucket, end, side="left"))
+        end = min(heads, default=0) + WINDOW_TICKS
+        if horizon is not None and (not heads or end > horizon):
+            # An unread start may still fall in this window: read on.
+            chunk = next(source, None)
+            if chunk is None:
+                horizon = None
+                continue
+            horizon = int(chunk.end_second // _SEG)
+            pending = _read(pending, chunk)
+            del chunk  # its starts live on in ``pending`` alone
+            continue
+        if not heads:
+            return
+        # Starts in buckets before ``end`` (``end * _SEG`` is exact).
+        hi = int(np.searchsorted(pending[0], end * _SEG, side="left"))
         window, carry, next_seq = _fire([
             np.concatenate(pair)
-            for pair in zip(carry, _expand(s, e, last, lo, hi, carry[0].size))
+            for pair in zip(carry, _expand(pending, hi, last_of,
+                                           carry[0].size, first_seq))
         ], end, next_seq)
-        lo = hi
+        first_seq += hi
+        pending = [column[hi:] for column in pending]
         yield window

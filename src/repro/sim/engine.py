@@ -6,8 +6,8 @@
   scheduled with :meth:`Simulator.at` (live admission retries);
 * a tick-bucketed calendar queue
   (:class:`~repro.sim.tickqueue.TickBucketQueue`) for the hot path:
-  session-start slabs (:meth:`Simulator.preload_starts`,
-  :meth:`Simulator.extend_starts`) and *session arcs*
+  session-start slabs (:meth:`Simulator.extend_starts`, one call per
+  trace chunk -- a whole trace is one chunk) and *session arcs*
   (:meth:`Simulator.start_arc`) whose steps land on the fixed
   ``SEGMENT_SECONDS`` grid.  These are stored as plain tuples -- no
   per-event object allocation, no per-event heap sift.
@@ -28,17 +28,19 @@ Design notes
   simulations are dominated by millions of tiny events (one per video
   segment); plain callbacks avoid generator overhead and keep per-event
   cost to a couple of list operations.
-* ``run(until=...)`` supports horizons, which the streamed replay uses
+* ``run(until=...)`` supports horizons, which the chunk replay uses
   to drain up to each chunk boundary.
 * When the whole event schedule is *static*, as in trace replay
   without admission, the drain loop itself can be skipped:
   :mod:`repro.sim.columnar` precomputes the ``(time, seq)``-ordered
-  event stream as flat arrays, one window of tick buckets at a time
-  (including the exact sequence numbers this engine's shared counter
-  would assign), which is what ``engine="columnar"`` walks instead of
-  running this loop.  The ordering contract documented here is
-  therefore load-bearing for that module too: any change to the merge
-  rule or the counter discipline must be mirrored there.
+  event stream of the same chunk stream as flat arrays, one window of
+  tick buckets at a time (including the exact sequence numbers this
+  engine's shared counter would assign: starts 0, 1, 2, ... and
+  dynamic draws from :attr:`Simulator._STREAM_DYNAMIC_SEQ`), which is
+  what ``engine="columnar"`` walks instead of running this loop.  The
+  ordering contract documented here is therefore load-bearing for that
+  module too: any change to the merge rule or the counter discipline
+  must be mirrored there.
 """
 
 from __future__ import annotations
@@ -88,13 +90,8 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         #: Next session-start sequence number handed to extend_starts
-        #: (streamed replay keeps starts in a low band, see below).
+        #: (replay keeps starts in a low band, see below).
         self._start_seq = 0
-
-    def _rebase(self, start: int) -> None:
-        """Restart the shared sequence counter at ``start``."""
-        self._counter = itertools.count(start)
-        self._buckets._counter = self._counter
 
     # ------------------------------------------------------------------
     # Clock
@@ -131,68 +128,39 @@ class Simulator:
 
     def preload_starts(self, times: Any, callback: EventCallback,
                        payloads: Any) -> None:
-        """Bulk-register a start-sorted event storm before the run.
+        """:meth:`extend_starts` on a fresh simulator (the one chunk).
 
-        The canonical caller is trace replay: one session-start per
-        record, every record already sorted by start time.  The whole
-        column becomes per-tick slabs in the calendar queue
-        (:meth:`TickBucketQueue.extend_sorted`) -- no per-event tuple,
-        dict probe or counter draw until each bucket is reached -- and
-        the shared sequence counter is rebased past the preloaded
-        count, so execution order is bit-identical to scheduling each
-        start through :meth:`at` in column order.
-
-        Raises
-        ------
-        SimulationError
-            If the simulator is not fresh (anything already executed or
-            pending would race the preloaded sequence numbers), if a
-            start precedes the current clock, or if the column is not
-            ascending.
+        Nothing in the package calls it; it stays only because the
+        benchmark's layer tracer wraps it by name (a missing target
+        fails the traced pass), and goes with the next benchmark change.
         """
-        if self._events_processed or self._heap or not self._buckets.fresh:
-            raise SimulationError(
-                "preload_starts requires a fresh simulator (no events "
-                "executed or pending)"
-            )
-        if len(times) and times[0] < self._now:
-            raise SimulationError(
-                f"cannot preload a start at t={times[0]:.6f}, clock is "
-                f"already at t={self._now:.6f}"
-            )
-        try:
-            n = self._buckets.extend_sorted(times, payloads, callback, 0)
-        except ValueError as error:
-            # The queue owns the slab invariants (equal columns,
-            # ascending times); surface violations under the engine's
-            # error type like every other scheduling bug.
-            raise SimulationError(str(error)) from None
-        self._rebase(n)
+        self.extend_starts(times, callback, payloads)
 
-    #: Sequence band for dynamically scheduled events under streamed
-    #: replay.  extend_starts() cannot know the total record count up
-    #: front the way preload_starts() can, so instead of rebasing the
-    #: shared counter past the starts it parks *dynamic* draws in a high
-    #: band and numbers starts 0, 1, 2, ... chunk after chunk.  Relative
-    #: order within each class is unchanged and every start still
-    #: precedes any coincident dynamic event -- the same total order the
-    #: whole-trace preload produces (sequence values differ, comparisons
-    #: do not).
+    #: Sequence band for dynamically scheduled events under replay.
+    #: extend_starts() cannot know the total record count up front, so
+    #: instead of numbering dynamic draws past the starts it parks them
+    #: in a high band and numbers starts 0, 1, 2, ... chunk after chunk.
+    #: Relative order within each class is unchanged and every start
+    #: precedes any coincident dynamic event -- the same total order as
+    #: scheduling every start through at() before anything else, for
+    #: any chunking of the storm.  The columnar schedule
+    #: (:mod:`repro.sim.columnar`) numbers its events the same way.
     _STREAM_DYNAMIC_SEQ = 1 << 62
 
     def extend_starts(self, times: Any, callback: EventCallback,
                       payloads: Any) -> None:
         """Register one chunk of a start-sorted event storm mid-run.
 
-        The streamed counterpart of :meth:`preload_starts`: call once
-        per trace chunk, in chronological chunk order, after running
-        the clock to just before the chunk's window (so every earlier
-        bucket has drained -- :meth:`run` with a horizon just below a
-        tick boundary leaves later buckets unactivated for exactly this
-        reason).  The first call must find a fresh simulator and
-        switches dynamic sequence numbering to the high band described
-        above; replaying a trace chunk-by-chunk through this API is
-        bit-identical to one whole-trace :meth:`preload_starts`.
+        Every replay loads its starts here, as per-tick calendar slabs
+        (:meth:`TickBucketQueue.extend_sorted`): call once per trace
+        chunk (a whole trace is one chunk), in chronological chunk
+        order, after running the clock to just before the chunk's
+        window (so every earlier bucket has drained -- :meth:`run` with
+        a horizon just below a tick boundary leaves later buckets
+        unactivated for exactly this reason).  The first call must find
+        a fresh simulator and switches dynamic sequence numbering to
+        the high band described above, so any chunking of a trace fires
+        bit-identically to scheduling each start through :meth:`at`.
 
         Raises
         ------
@@ -218,7 +186,8 @@ class Simulator:
                     "extend_starts requires a fresh simulator for the "
                     "first chunk (no events executed or pending)"
                 )
-            self._rebase(self._STREAM_DYNAMIC_SEQ)
+            self._counter = itertools.count(self._STREAM_DYNAMIC_SEQ)
+            self._buckets._counter = self._counter
         try:
             n = self._buckets.extend_sorted(times, payloads, callback,
                                             self._start_seq)

@@ -9,8 +9,8 @@ mostly-ordered data) when the clock reaches it.
 
 Two entry shapes share a bucket:
 
-* ``(time, seq, callback, args)`` -- a session start from a preloaded
-  or extended slab (the same shape as a simulator heap entry);
+* ``(time, seq, callback, args)`` -- a session start from a slab (the
+  same shape as a simulator heap entry);
 * ``(time, seq, arc)`` -- one step of a :class:`SessionArc`.
 
 ``seq`` values come from the same monotonic counter as the
@@ -22,20 +22,22 @@ sorting never compares the mismatched tails of the two tuple shapes.
 Session-start slabs
 -------------------
 
-Trace replay begins with a second storm: one session-*start* event per
-trace record, all registered before the clock moves.
-:meth:`TickBucketQueue.extend_sorted` stores the whole start-sorted
+Trace replay carries a second storm: one session-*start* event per
+trace record, registered chunk by chunk (a whole trace is one chunk)
+before the clock reaches the chunk's window.
+:meth:`TickBucketQueue.extend_sorted` stores a chunk's start-sorted
 column as per-bucket **slabs** -- ``(lo, hi)`` slices into the caller's
 own lists, found with one bisect per bucket -- and materializes a slab
 into ``(time, seq, callback, args)`` entries only when its bucket is
-activated.  Because a whole-trace preload happens on a fresh queue,
-record ``i`` simply *is* sequence number ``i``, which is exactly what
-scheduling each record in column order would have assigned: the
-resulting execution order is bit-identical, and buckets past a run's
-horizon never pay for materialization at all.
+activated.  Record ``i`` of the replay takes sequence number ``i``,
+below every dynamic draw (the simulator parks those in a high band),
+which orders the starts exactly as scheduling each record in column
+order before anything else would: the resulting execution order is
+bit-identical, and buckets past a run's horizon never pay for
+materialization at all.
 
 The columnar engine (:mod:`repro.sim.columnar`) leans on two facts
-pinned here: start ``i`` holds sequence number ``i`` (the slab rebase),
+pinned here: start ``i`` holds sequence number ``i``,
 and an arc continuation deposited at ``time + SEGMENT_SECONDS`` always
 lands in a strictly later bucket than its parent -- so the whole
 bucket-by-bucket firing order can be reproduced without running the
@@ -97,11 +99,10 @@ class TickBucketQueue:
         #: Tick index of ``_front`` (-1 before any bucket is activated).
         self._front_tick = -1
         #: tick -> (lo, hi, (times, payloads, callback, base_seq)):
-        #: a slice of a preloaded start column plus its backing source.
+        #: a slice of a chunk's start column plus its backing source.
         #: The record at slice index ``i`` carries sequence number
-        #: ``base_seq + i`` (0 for the whole-trace preload, a running
-        #: chunk offset for streamed extensions).  Per-slab sources let
-        #: a chunk's columns be released as soon as its last bucket
+        #: ``base_seq + i`` (a running chunk offset).  Per-slab sources
+        #: let a chunk's columns be released as soon as its last bucket
         #: drains -- the whole point of streaming replay.
         self._slabs: dict[int, Tuple[int, int, tuple]] = {}
 
@@ -145,10 +146,9 @@ class TickBucketQueue:
         The columns become per-tick slabs with one bisect per distinct
         tick; no per-entry tuple, dict probe or counter draw happens
         until a bucket is activated.  Entry ``i`` takes sequence number
-        ``base_seq + i``: a whole-trace preload passes 0 on a fresh
-        queue, and a streamed replay threads a running record index
-        through its chunks, so every record gets the sequence number
-        the whole-trace preload would have given it.
+        ``base_seq + i``: a replay threads a running record index
+        through its chunks, so every record gets the same sequence
+        number however the trace is chunked.
 
         ``times`` must be ascending (verified with one C-level pairwise
         scan -- a mis-ordered column would mis-bucket silently) and
@@ -200,7 +200,7 @@ class TickBucketQueue:
     def _activate_next_bucket(self) -> None:
         """Advance ``_front`` to the earliest pending bucket, sorted.
 
-        A preloaded start slab materializes here: its entries come out
+        A start slab materializes here: its entries come out
         time- and seq-ascending by construction, so a slab-only bucket
         skips the sort entirely and a mixed bucket merges the slab run
         into one adaptive ``list.sort``.

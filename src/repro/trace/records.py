@@ -277,6 +277,18 @@ class Trace:
                           list(durations))
         return trace
 
+    @classmethod
+    def from_chunks(cls, chunks: Iterable["TraceChunk"], catalog: Catalog,
+                    n_users: int) -> "Trace":
+        """Concatenate ascending chunks into one trace (``from_columns``)."""
+        columns: Tuple[list, list, list, list] = ([], [], [], [])
+        for chunk in chunks:
+            for column, part in zip(columns, (
+                    chunk.start_times, chunk.user_ids, chunk.program_ids,
+                    chunk.durations)):
+                column.extend(part)
+        return cls.from_columns(*columns, catalog, n_users)
+
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
@@ -309,7 +321,7 @@ class Trace:
         """Session start times in record order.
 
         A read-only view of the trace's own column (do **not** mutate):
-        the engine's bulk session-start preload and the slice-file
+        the engine's session-start slabs and the slice-file
         writer walk hundreds of thousands of starts, so handing out
         a defensive copy per access would dominate their cost.
         """

@@ -167,17 +167,7 @@ class SliceReader:
 
     def materialize(self) -> Trace:
         """Concatenate every chunk into one ``Trace`` (global ids)."""
-        starts: List[float] = []
-        users: List[int] = []
-        programs: List[int] = []
-        durations: List[float] = []
-        for chunk in self.chunks():
-            starts.extend(chunk.start_times)
-            users.extend(chunk.user_ids)
-            programs.extend(chunk.program_ids)
-            durations.extend(chunk.durations)
-        return Trace.from_columns(starts, users, programs, durations,
-                                  self.catalog, self.n_users)
+        return Trace.from_chunks(self.chunks(), self.catalog, self.n_users)
 
     def close(self) -> None:
         self._file.close()

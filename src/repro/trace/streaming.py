@@ -200,17 +200,8 @@ class TraceStream:
         for tests and for consumers that decide streaming is not worth
         it for a small model.
         """
-        starts: List[float] = []
-        users: List[int] = []
-        programs: List[int] = []
-        durations: List[float] = []
-        for chunk in self.chunks():
-            starts.extend(chunk.start_times)
-            users.extend(chunk.user_ids)
-            programs.extend(chunk.program_ids)
-            durations.extend(chunk.durations)
-        return Trace.from_columns(starts, users, programs, durations,
-                                  self._catalog, self._model.n_users)
+        return Trace.from_chunks(self.chunks(), self._catalog,
+                                 self._model.n_users)
 
 
 def open_trace_stream(

@@ -6,9 +6,9 @@ before the result is built); the columnar engine folds once per
 schedule window.  Each flush seeds the touched meter buckets with their
 current values, so every bucket sees the same float additions as one
 ``add_interval`` per delivery.  These tests pin that: the result digest
-of every drain -- bucket, columnar, streamed, sharded, live -- is one
-value for any flush size (and any columnar window width), on the numpy
-fold and on the scalar fold.
+of every drain -- bucket, columnar, streamed and sharded on either
+engine, live -- is one value for any flush size (and any columnar
+window width and chunking), on the numpy fold and on the scalar fold.
 """
 
 from __future__ import annotations
@@ -19,9 +19,16 @@ from bench.checks import result_digest
 from repro import units
 from repro.core import system as system_module
 from repro.core.config import SimulationConfig
-from repro.core.shard import run_sharded
+from repro.core.parallel import ShardSpec, SimulationTask
+from repro.core.shard import (
+    run_sharded,
+    shard_neighborhood_groups,
+    split_shard_slices,
+)
 from repro.core.system import CableVoDSystem, columnar_supported
 from repro.live import AdmissionController, FairnessSpec, ThrottleSpec
+from repro.trace.records import TraceChunk
+from repro.trace.share import attach_columns, attach_trace, unlink_slice
 from repro.trace.streaming import open_trace_stream
 from repro.trace.synthetic import PowerInfoModel
 from repro.trace.workload import Workload, cached_workload_trace
@@ -42,13 +49,15 @@ def _drain_digests() -> dict:
     results = {
         "bucket": CableVoDSystem(trace, CONFIG, engine="bucket").run(),
         "columnar": CableVoDSystem(trace, CONFIG, engine="columnar").run(),
-        "streamed": CableVoDSystem(
-            None, CONFIG, catalog=stream.catalog, n_users=stream.n_users
-        ).run(stream.chunks()),
-        "2-shard": run_sharded(MODEL, CONFIG, n_shards=2, engine="bucket",
-                               workers=1),
         "live-noop": live,
     }
+    for engine, prefix in (("bucket", ""), ("columnar", "columnar-")):
+        results[prefix + "streamed"] = CableVoDSystem(
+            None, CONFIG, engine=engine, catalog=stream.catalog,
+            n_users=stream.n_users,
+        ).run(stream.chunks())
+        results[prefix + "2-shard"] = run_sharded(
+            MODEL, CONFIG, n_shards=2, engine=engine, workers=1)
     return {name: result_digest(result) for name, result in results.items()}
 
 
@@ -90,7 +99,8 @@ def test_every_drain_matches_at_every_flush_size(monkeypatch, reference,
         monkeypatch.setenv("REPRO_ENGINE", "python")
     monkeypatch.setattr(system_module, "FLUSH_ROWS", rows)
     assert _drain_digests() == dict.fromkeys(
-        ("bucket", "columnar", "streamed", "2-shard", "live-noop"), reference
+        ("bucket", "columnar", "streamed", "2-shard", "live-noop",
+         "columnar-streamed", "columnar-2-shard"), reference
     )
 
 
@@ -105,6 +115,77 @@ def test_columnar_matches_at_every_window_width(monkeypatch, reference, width):
     trace = cached_workload_trace(Workload(model=MODEL))
     result = CableVoDSystem(trace, CONFIG, engine="columnar").run()
     assert result_digest(result) == reference
+
+
+def _shard_slice_runs(engine):
+    """``engine`` over a gappy 1-hour shard-slice stream, and materialized.
+
+    One shard of four holds one 60-user neighborhood, so some hours have
+    no rows and the split leaves their chunks out of the slice file.
+    """
+    task = SimulationTask(workload=Workload(model=MODEL), config=CONFIG,
+                          shard=ShardSpec(n_shards=4, index=1,
+                                          streaming=True, chunk_hours=1))
+    ids = shard_neighborhood_groups(task.workload, CONFIG, 4)[1]
+    handles = split_shard_slices(task)
+    try:
+        handle = handles[1]
+        assert handle.n_chunks < MODEL.days * 24  # chunks are missing
+        with attach_columns(handle) as reader:
+            chunked = CableVoDSystem(
+                None, CONFIG, engine=engine, neighborhood_ids=ids,
+                catalog=reader.catalog, n_users=reader.n_users,
+            ).run(reader.chunks())
+        materialized = CableVoDSystem(attach_trace(handle), CONFIG,
+                                      engine=engine,
+                                      neighborhood_ids=ids).run()
+    finally:
+        for handle in handles:
+            unlink_slice(handle.path)
+    return chunked, materialized
+
+
+@pytest.mark.parametrize("width", [1, 72])
+@pytest.mark.parametrize("chunking", ["1h", "3h", "24h", "one-chunk"])
+def test_columnar_chunk_drains_match_the_materialized_run(
+        monkeypatch, reference, chunking, width):
+    """Columnar over any chunking equals the materialized columnar run.
+
+    ``one-chunk`` is the whole trace with window bounds 0, so its
+    windows are only final at exhaustion.
+    """
+    if not columnar_supported():
+        pytest.skip("needs numpy")
+    from repro.sim import columnar
+
+    monkeypatch.setattr(columnar, "WINDOW_TICKS", width)
+    trace = cached_workload_trace(Workload(model=MODEL))
+    if chunking == "one-chunk":
+        chunks = [TraceChunk(0, 0, 0, *trace.columns())]
+    else:
+        chunks = open_trace_stream(
+            MODEL, chunk_hours=int(chunking[:-1])).chunks()
+    result = CableVoDSystem(None, CONFIG, engine="columnar",
+                            catalog=trace.catalog,
+                            n_users=trace.n_users).run(chunks)
+    materialized = CableVoDSystem(trace, CONFIG, engine="columnar").run()
+    assert result_digest(result) == result_digest(materialized) == reference
+    assert result.trace_end_time == materialized.trace_end_time
+
+
+@pytest.mark.parametrize("width", [1, 72])
+def test_columnar_shard_slice_stream_matches(monkeypatch, width):
+    """A gappy shard-slice stream equals its materialized slice."""
+    if not columnar_supported():
+        pytest.skip("needs numpy")
+    from repro.sim import columnar
+
+    monkeypatch.setattr(columnar, "WINDOW_TICKS", width)
+    chunked, materialized = _shard_slice_runs("columnar")
+    bucket, _ = _shard_slice_runs("bucket")
+    assert (result_digest(chunked) == result_digest(materialized)
+            == result_digest(bucket))
+    assert chunked.trace_end_time == materialized.trace_end_time
 
 
 def test_log_stays_bounded(monkeypatch):

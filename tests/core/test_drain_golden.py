@@ -1,8 +1,8 @@
 """Golden digests of every drain: one sha256 per strategy x path.
 
 Every way to drive a replay -- the ``bucket`` and ``columnar``
-engines, a streamed chunk replay, a 2-shard split, and
-live admission with a no-op and with an active controller -- must keep
+engines, a streamed chunk replay and a 2-shard split on either engine,
+and live admission with a no-op and with an active controller -- must keep
 producing the same :func:`bench.checks.result_digest` for every
 registered cache strategy that supports it (a future-knowledge strategy
 cannot stream; a cross-neighborhood feed cannot shard).  Every workload
@@ -83,10 +83,10 @@ def _active_controller() -> AdmissionController:
     )
 
 
-def _streamed(model, config):
+def _streamed(model, config, engine="bucket"):
     stream = open_trace_stream(model, chunk_hours=3)
-    system = CableVoDSystem(None, config, catalog=stream.catalog,
-                            n_users=stream.n_users)
+    system = CableVoDSystem(None, config, engine=engine,
+                            catalog=stream.catalog, n_users=stream.n_users)
     return system.run(stream.chunks())
 
 
@@ -99,6 +99,10 @@ DRAINS = {
     "streamed": _streamed,
     "2-shard": lambda model, config: run_sharded(
         model, config, n_shards=2, engine="bucket", workers=1),
+    "columnar-streamed": lambda model, config: _streamed(
+        model, config, engine="columnar"),
+    "columnar-2-shard": lambda model, config: run_sharded(
+        model, config, n_shards=2, engine="columnar", workers=1),
     "live-noop": lambda model, config: CableVoDSystem(
         _trace(model), config).run(admission=AdmissionController(
             throttle=ThrottleSpec(), fairness=FairnessSpec())),
@@ -109,9 +113,9 @@ DRAINS = {
 
 def _supports(policy: str, drain: str) -> bool:
     spec = spec_from_name(policy)
-    if drain == "streamed":
+    if drain.endswith("streamed"):
         return not spec.requires_future_knowledge
-    if drain == "2-shard":
+    if drain.endswith("2-shard"):
         return not spec.uses_global_feed
     return True
 
@@ -150,6 +154,17 @@ def test_drain_matches_golden(case):
 
 def test_golden_file_pins_exactly_the_cases():
     assert sorted(_pinned()) == sorted(CASES)
+
+
+def test_columnar_chunk_drains_pin_the_bucket_digest():
+    """Columnar over chunks replays exactly what the bucket engine does."""
+    pinned = _pinned()
+    chunked = [case for case in CASES
+               if case.split("/")[1] in ("columnar-streamed",
+                                         "columnar-2-shard")]
+    assert len(chunked) == 2 * len(policy_names()) - 2
+    for case in chunked:
+        assert pinned[case] == pinned[case.split("/")[0] + "/bucket"], case
 
 
 def test_every_family_is_pinned():

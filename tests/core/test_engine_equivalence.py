@@ -23,6 +23,8 @@ from repro.core.parallel import run_many
 from repro.core.runner import resolve_engine, run_simulation
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.system import CableVoDSystem, columnar_supported
+from repro.trace.records import TraceChunk
+from repro.trace.streaming import open_trace_stream
 from repro.trace.synthetic import PowerInfoModel, generate_trace
 from tests.sim.helpers import HeapSimulator
 
@@ -307,10 +309,9 @@ class TestColumnarInternals:
 
         trace = generate_trace(
             PowerInfoModel(n_users=300, n_programs=60, days=8.0, seed=11))
-        starts, _, program_ids, durations = trace.columns()
         last = [p.num_segments - 1 for p in trace.catalog]
         sizes = [window.n_events for window in build_schedule(
-            starts, durations, program_ids, last)]
+            [TraceChunk(0, 0, 0, *trace.columns())], last)]
         assert max(sizes) <= sum(sizes) / 4
 
     def test_no_window_outlives_the_run(self, tiny_trace, monkeypatch):
@@ -326,7 +327,7 @@ class TestColumnarInternals:
         def watched(*args):
             for window in build(*args):
                 refs.extend(weakref.ref(getattr(window, name)) for name in (
-                    "rec", "time", "watch", "segment", "is_start",
+                    "user", "program", "end", "time", "watch", "segment",
                     "delivered"))
                 yield window
 
@@ -334,8 +335,48 @@ class TestColumnarInternals:
         system = CableVoDSystem(tiny_trace, _config(), engine="columnar")
         result = system.run()
         assert result.events_processed > 0
-        assert len(refs) > 6
+        assert len(refs) > 7
         assert [ref for ref in refs if ref() is not None] == []
+
+    def test_chunk_drain_frees_each_chunk(self, tiny_model, monkeypatch):
+        """A columnar chunk drain holds no chunk once its starts are read.
+
+        The starts ride in the schedule's own arrays, so with a source
+        that keeps no chunk itself, no chunk is alive at any window.
+        """
+        if not columnar_supported():
+            pytest.skip("needs numpy")
+        import gc
+        import weakref
+
+        from repro.sim import columnar
+
+        stream = open_trace_stream(tiny_model, chunk_hours=2)
+        refs = []
+
+        def track(chunk):
+            refs.append(weakref.ref(chunk))
+            return chunk
+
+        held = []
+        build = columnar.build_schedule
+
+        def watched(*args):
+            for window in build(*args):
+                gc.collect()
+                held.append(sum(ref() is not None for ref in refs))
+                yield window
+
+        monkeypatch.setattr(columnar, "build_schedule", watched)
+        system = CableVoDSystem(None, _config(), engine="columnar",
+                                catalog=stream.catalog,
+                                n_users=stream.n_users)
+        result = system.run(map(track, stream.chunks()))
+        assert result.counters.sessions > 0
+        assert len(refs) >= 3 and len(held) >= 3
+        assert held == [0] * len(held)
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestWorkerDefaults:

@@ -205,7 +205,6 @@ class TestOneReplayPerSystem:
         assert first.server_meters[0].buckets() == buckets
 
     @pytest.mark.parametrize("engine, refused", [
-        ("columnar", "chunks"),
         ("columnar", "admission"),
         ("bucket", "traceless"),
     ])
@@ -221,9 +220,7 @@ class TestOneReplayPerSystem:
         else:
             system = CableVoDSystem(tiny_trace, config(), engine=engine)
         with pytest.raises(SimulationError):
-            if refused == "chunks":
-                system.run(stream.chunks())
-            elif refused == "admission":
+            if refused == "admission":
                 system.run(admission=AdmissionController())
             else:
                 system.run()
@@ -232,6 +229,19 @@ class TestOneReplayPerSystem:
         else:
             result = system.run()
         assert result.counters.sessions == len(tiny_trace)
+
+    def test_columnar_chunk_run_equals_own_trace_run(self, tiny_model,
+                                                     tiny_trace):
+        """Columnar drains chunks: ``run(chunks)`` equals ``run()``."""
+        if not columnar_supported():
+            pytest.skip("columnar demotes to bucket without numpy")
+        from bench.checks import result_digest
+
+        own = CableVoDSystem(tiny_trace, config(), engine="columnar").run()
+        chunked = CableVoDSystem(tiny_trace, config(), engine="columnar").run(
+            open_trace_stream(tiny_model, chunk_hours=3).chunks())
+        assert result_digest(chunked) == result_digest(own)
+        assert chunked.trace_end_time == own.trace_end_time
 
 
 class TestMediaServerMeter:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from bench.checks import result_digest
 from repro.core.config import SimulationConfig
-from repro.core.parallel import ShardSpec, SimulationTask
+from repro.core.parallel import ShardSpec, SimulationTask, iter_task_results
 from repro.errors import ConfigurationError
 from repro.live import FairnessSpec, ThrottleSpec
 from repro.scenario import Scenario, Sweep, apply_path, run_scenario, run_sweep
 from repro.scenario.metrics import metric_columns
+from repro.scenario.runner import scenario_task
 from repro.trace.synthetic import PowerInfoModel
 
 MODEL = PowerInfoModel(n_users=120, n_programs=24, days=1.0, seed=23,
@@ -77,6 +80,16 @@ class TestSchema:
         with pytest.raises(ConfigurationError, match="shard task"):
             SimulationTask(workload=workload, config=SimulationConfig(),
                            shard=ShardSpec(n_shards=2, index=0), live=live)
+
+    def test_live_task_resolves_to_bucket_and_refuses_others(self):
+        workload = _scenario().workload()
+        live = (ThrottleSpec(), None)
+        task = SimulationTask(workload=workload, config=SimulationConfig(),
+                              live=live)
+        assert task.engine == "bucket"
+        with pytest.raises(ConfigurationError, match="bucket"):
+            SimulationTask(workload=workload, config=SimulationConfig(),
+                           engine="columnar", live=live)
 
     def test_wrong_spec_family_rejected(self):
         with pytest.raises(ConfigurationError, match="throttle"):
@@ -169,6 +182,17 @@ class TestLiveStreaming:
         assert result_digest(streamed) == result_digest(materialized)
         assert vars(streamed.live) == vars(materialized.live)
         assert streamed.live.deferrals > 0
+
+    def test_streamed_live_task_without_engine_matches(self, monkeypatch):
+        """``engine=None`` resolves to bucket for a live task, not auto."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        scenario = _scenario(fairness=FairnessSpec(lead_seconds=7200.0))
+        materialized = run_scenario(scenario)
+        task = replace(scenario_task(scenario), engine=None,
+                       shard=ShardSpec(n_shards=1, index=0, streaming=True))
+        [(streamed, _)] = iter_task_results([task], workers=1)
+        assert result_digest(streamed) == result_digest(materialized)
+        assert vars(streamed.live) == vars(materialized.live)
 
 
 class TestLiveMetricSet:

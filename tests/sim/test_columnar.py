@@ -1,16 +1,19 @@
-"""The columnar schedule is the same stream at any window width.
+"""The columnar schedule is the same stream at any window width and chunking.
 
-``build_schedule`` yields the event stream in windows of
-``WINDOW_TICKS`` tick buckets, carrying later events (with their child
-links and, once their parent fired, their seqs) and running one
-sequence counter across windows.  At a width no trace can exceed the
-whole stream is one window; every narrower width must concatenate to
-exactly that, array for array, with the same total event count.  The
-traces below pile up the cases where a carry mistake would show: equal
-start times whose arcs tie on time, starts exactly on bucket
-boundaries, starts one ulp below a boundary whose first continuation
-lands on the boundary's, float-noise final slivers, gaps longer than a
-window, and sessions spanning many windows.
+``build_schedule`` reads its starts from a stream of trace chunks and
+yields the event stream in windows of ``WINDOW_TICKS`` tick buckets,
+carrying later events (with their child links and, once their parent
+fired, their seqs) and running one sequence counter across windows.
+At a width no trace can exceed, a one-chunk stream with window bounds
+0 is one window; every narrower width, and every stream of 1-, 3- or
+24-hour chunks (missing the chunks that hold no starts, as a shard
+slice does), must concatenate to exactly that, array for array, with
+the same total event count.  The traces below pile up the cases where
+a carry mistake would show: equal start times whose arcs tie on time,
+starts exactly on bucket boundaries, starts one ulp below a boundary
+whose first continuation lands on the boundary's, float-noise final
+slivers, gaps longer than a window, and sessions spanning many
+windows.
 """
 
 from __future__ import annotations
@@ -22,13 +25,15 @@ import pytest
 
 from repro.core.system import columnar_supported
 from repro.sim import columnar
+from repro.trace.records import TraceChunk
 
 pytestmark = pytest.mark.skipif(not columnar_supported(),
                                 reason="needs numpy")
 
 WIDTHS = (1, 7, 72)
 WHOLE = 10 ** 9
-FIELDS = ("rec", "time", "watch", "segment", "is_start", "delivered")
+FIELDS = ("user", "program", "end", "time", "watch", "segment", "delivered")
+CHUNK_HOURS = (1, 3, 24)
 #: Last segment index per program: one-segment to 25-hour programs.
 LAST_SEGMENT = (0, 1, 5, 23, 80, 300)
 
@@ -72,9 +77,28 @@ def _random_columns(seed: int, n: int):
     return starts[:n], durations[:n], programs[:n]
 
 
-def _windows(monkeypatch, width, columns):
+def _chunks(columns, chunk_hours=None):
+    """``(starts, durations, programs)`` as a chunk stream.
+
+    ``None`` is one chunk with window bounds 0; otherwise one chunk per
+    ``chunk_hours`` span that holds a start, with its window bounds.
+    """
+    starts, durations, programs = columns
+    users = [(7 * index) % 13 for index in range(len(starts))]
+    if chunk_hours is None:
+        return [TraceChunk(0, 0, 0, starts, users, programs, durations)]
+    rows = {}
+    for row in zip(starts, users, programs, durations):
+        rows.setdefault(int(row[0] // (3600.0 * chunk_hours)), []).append(row)
+    return [TraceChunk(index, span * chunk_hours, (span + 1) * chunk_hours,
+                       *map(list, zip(*rows[span])))
+            for index, span in enumerate(sorted(rows))]
+
+
+def _windows(monkeypatch, width, columns, chunk_hours=None):
     monkeypatch.setattr(columnar, "WINDOW_TICKS", width)
-    return list(columnar.build_schedule(*columns, LAST_SEGMENT))
+    return list(columnar.build_schedule(iter(_chunks(columns, chunk_hours)),
+                                        LAST_SEGMENT))
 
 
 def _concat(windows, field):
@@ -90,12 +114,9 @@ TRACES = {
 }
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("trace", sorted(TRACES))
-def test_windows_concatenate_to_the_whole_stream(monkeypatch, trace, width):
-    columns = TRACES[trace]
+def _assert_whole_stream(monkeypatch, columns, width, chunk_hours=None):
     whole = _windows(monkeypatch, WHOLE, columns)
-    windows = _windows(monkeypatch, width, columns)
+    windows = _windows(monkeypatch, width, columns, chunk_hours)
     assert len(whole) == (1 if columns[0] else 0)
     assert (sum(w.n_events for w in windows)
             == sum(w.n_events for w in whole))
@@ -107,6 +128,20 @@ def test_windows_concatenate_to_the_whole_stream(monkeypatch, trace, width):
             whole[0], field).tolist(), field
 
 
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_windows_concatenate_to_the_whole_stream(monkeypatch, trace, width):
+    _assert_whole_stream(monkeypatch, TRACES[trace], width)
+
+
+@pytest.mark.parametrize("width", WIDTHS + (WHOLE,))
+@pytest.mark.parametrize("chunk_hours", CHUNK_HOURS)
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_chunk_streams_concatenate_to_the_whole_stream(monkeypatch, trace,
+                                                       chunk_hours, width):
+    _assert_whole_stream(monkeypatch, TRACES[trace], width, chunk_hours)
+
+
 def test_random_traces_cover_the_carry_cases(monkeypatch):
     """Guard the fixtures: ties, noise, gaps and long sessions occur."""
     starts, durations, programs = TRACES["random-0"]
@@ -115,13 +150,16 @@ def test_random_traces_cover_the_carry_cases(monkeypatch):
     assert not whole.delivered.all()  # noise-only first segments
     times = whole.time.tolist()
     assert any(a == b and s != t for a, b, s, t in zip(
-        times, times[1:], whole.is_start.tolist()[:-1],
-        whole.is_start.tolist()[1:]))  # a start ties an arc
+        times, times[1:], (whole.segment == 0).tolist()[:-1],
+        (whole.segment == 0).tolist()[1:]))  # a start ties an arc
     windows = _windows(monkeypatch, 72, TRACES["random-0"])
     spans = {}
     for index, window in enumerate(windows):
-        for rec in window.rec.tolist():
-            spans.setdefault(rec, set()).add(index)
+        for session in zip(window.user.tolist(), window.program.tolist(),
+                           window.end.tolist()):
+            spans.setdefault(session, set()).add(index)
     assert max(len(seen) for seen in spans.values()) >= 3
     gaps = [b - a for a, b in zip(starts, starts[1:])]
     assert max(gaps) > 72 * 300.0
+    chunks = _chunks(TRACES["random-0"], 24)  # missing empty days
+    assert any(a.end_hour < b.start_hour for a, b in zip(chunks, chunks[1:]))
