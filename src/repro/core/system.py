@@ -5,7 +5,8 @@ execution -- topology, set-top peers, per-headend index servers bound to
 their caching strategies, and the central media server -- then replays a
 trace through it:
 
-* each trace record becomes a *session start* event;
+* each trace session becomes a *session start* event, fired straight
+  from the trace's columns;
 * a session issues one *segment request* every 5 simulated minutes until
   the viewer walks away (matching section IV-B.1's segment flows);
 * every delivery logs one outcome code; the log is folded in bounded
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 import time as _time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -36,7 +38,7 @@ from repro.core.results import SimulationCounters, SimulationResult
 from repro.peers.settop import SetTopBox
 from repro.sim.engine import Simulator
 from repro.topology.placement import shared_plant
-from repro.trace.records import SessionRecord, Trace, TraceChunk
+from repro.trace.records import Trace, TraceChunk
 
 
 #: Engine selectors: ``"columnar"`` precomputes the event stream as
@@ -69,20 +71,6 @@ def columnar_supported() -> bool:
     except ImportError:  # pragma: no cover - exercised via monkeypatch
         return False
     return True
-
-
-class _RecordChunk:
-    """A trace as one bucket-drain chunk (window bounds 0) over its own
-    start column and records, so no record is built anew."""
-
-    start_second = 0.0
-
-    def __init__(self, trace: Trace) -> None:
-        self.start_times = trace.start_times
-        self._records = trace.records
-
-    def records(self) -> Sequence[SessionRecord]:
-        return self._records
 
 
 class CableVoDSystem:
@@ -158,7 +146,7 @@ class CableVoDSystem:
 
         if config.strategy.requires_future_knowledge and trace is None:
             raise SimulationError(
-                f"strategy {config.strategy.label()!r} requires future "
+                f"strategy {config.strategy.label!r} requires future "
                 f"knowledge of the whole trace and cannot run streamed"
             )
         built = config.strategy.build(
@@ -239,19 +227,19 @@ class CableVoDSystem:
     def _neighborhood_futures(self) -> List[Dict[int, List[float]]]:
         """Per-neighborhood future access schedules (oracle knowledge).
 
-        The trace is already time-sorted, so each program's list comes
-        out sorted for free.
+        Read from the trace's columns, which are already time-sorted,
+        so each program's list comes out sorted for free.
         """
         futures: List[Dict[int, List[float]]] = [
             dict() for _ in range(len(self._selected))
         ]
-        for record in self._trace:
-            local = self._user_neighborhood[record.user_id]
+        starts, users, programs, _ = self._trace.columns()
+        user_neighborhood = self._user_neighborhood
+        for start, user_id, program_id in zip(starts, users, programs):
+            local = user_neighborhood[user_id]
             if local < 0:
                 continue  # a user outside this shard's neighborhoods
-            futures[local].setdefault(record.program_id, []).append(
-                record.start_time
-            )
+            futures[local].setdefault(program_id, []).append(start)
         return futures
 
     # ------------------------------------------------------------------
@@ -278,23 +266,29 @@ class CableVoDSystem:
     # ------------------------------------------------------------------
     #
     # A session's segment flow is fully determined at session start:
-    # ``end_time`` and the program's segment count are fixed, so instead
+    # its end and the program's segment count are fixed, so instead
     # of rescheduling one event per segment the whole flow becomes one
     # SessionArc walking the 5-minute bucket grid.  Per-session
     # invariants (index server, neighborhood, last segment index) are
     # hoisted into the arc's argument tuple once instead of being
     # re-derived 100+ times per session.
 
-    def _start_session_fast(self, record: SessionRecord) -> None:
+    def _start_session_fast(self, user_id: int, program_id: int,
+                            duration: float,
+                            end: Optional[float] = None) -> None:
         """Open the viewer stream, deliver the first segment, start the arc.
 
-        The arc carries the remaining segments; a session that fits
-        inside one segment starts none.
+        A slab fires it with one row of the trace's user, program and
+        duration columns at the session's start, so ``end`` defaults to
+        ``now + duration`` (the session's own end); a retried live
+        admission passes the end of its original session window.  The
+        arc carries the remaining segments; a session that fits inside
+        one segment starts none.
         """
         sim = self._sim
         now = sim.now
-        user_id = record.user_id
-        program_id = record.program_id
+        if end is None:
+            end = now + duration
         neighborhood_id = self._user_neighborhood[user_id]
         server = self._servers[neighborhood_id]
         if self._feed is not None:
@@ -302,10 +296,7 @@ class CableVoDSystem:
         server.on_session_start(now, user_id, program_id)
         # The viewer's own box holds one channel for the playback stream;
         # the index server never denies a subscriber their own session.
-        server.box_of(user_id).open_stream(
-            now, record.duration_seconds, enforce_limit=False
-        )
-        end = record.end_time
+        server.box_of(user_id).open_stream(now, duration, enforce_limit=False)
         watch = end - now
         if watch > units.SEGMENT_SECONDS:
             watch = units.SEGMENT_SECONDS
@@ -435,19 +426,21 @@ class CableVoDSystem:
         """Replay the session stream and collect the results.
 
         Every replay is a chunk replay: ``chunks`` yields
-        :class:`~repro.trace.streaming.TraceChunk`-shaped objects
-        (ascending, non-overlapping) with O(chunk) resident records,
-        and ``chunks=None`` replays the system's own trace as one chunk
-        with window bounds 0.  On ``bucket`` the clock drains to just
-        below each chunk's window start -- the horizon-aware run leaves
-        every later bucket unactivated -- then the chunk's starts
-        extend the calendar as slabs whose columns are dropped once
-        their buckets drain; ``columnar`` walks the schedule
-        :func:`~repro.sim.columnar.build_schedule` builds from the
-        chunks.  Starts are numbered 0, 1, 2, ... chunk after chunk
-        below a dynamic band (``Simulator.extend_starts``), so any
-        chunking replays bit-identically, including
-        ``trace_end_time``, the max session end over the records.
+        :class:`~repro.trace.records.TraceChunk`-shaped objects
+        (ascending, non-overlapping) with O(chunk) resident session
+        columns, and ``chunks=None`` replays the system's own trace's
+        columns as one chunk with window bounds 0.  No session record
+        is built on either engine.  On ``bucket`` the clock drains to
+        just below each chunk's window start -- the horizon-aware run
+        leaves every later bucket unactivated -- then the chunk's
+        start, user, program and duration columns extend the calendar
+        as slabs (argument rows built per bucket as it activates) whose
+        columns are dropped once their buckets drain; ``columnar``
+        walks the schedule :func:`~repro.sim.columnar.build_schedule`
+        builds from the chunks.  Starts are numbered 0, 1, 2, ... chunk
+        after chunk below a dynamic band (``Simulator.extend_starts``),
+        so any chunking replays bit-identically, including
+        ``trace_end_time``, the max session end over the columns.
 
         ``admission`` (an
         :class:`~repro.live.admission.AdmissionController`) turns the
@@ -478,10 +471,8 @@ class CableVoDSystem:
             )
         started = self._start_run()
         if chunks is None:
-            # From what the engine reads anyway: no second trace copy.
-            trace = self._trace
-            chunks = [TraceChunk(0, 0, 0, *trace.columns())
-                      if self._engine == "columnar" else _RecordChunk(trace)]
+            # The trace's own columns: no second copy.
+            chunks = [TraceChunk(0, 0, 0, *self._trace.columns())]
         if self._engine == "columnar":
             events_processed, end_time = self._run_columnar(chunks)
         else:
@@ -496,10 +487,11 @@ class CableVoDSystem:
                 bound = chunk.start_second
                 if bound > sim.now:
                     sim.run(until=math.nextafter(bound, -math.inf))
-                records = chunk.records()
-                end_time = max(end_time, max((r.end_time for r in records),
-                                             default=0.0))
-                sim.extend_starts(chunk.start_times, callback, records)
+                starts, durations = chunk.start_times, chunk.durations
+                end_time = max(end_time, max(map(operator.add, starts,
+                                                 durations), default=0.0))
+                sim.extend_starts(starts, callback, chunk.user_ids,
+                                  chunk.program_ids, durations)
             sim.run()
             events_processed = sim.events_processed
         result = self._build_result(events_processed, end_time, started)
@@ -511,26 +503,32 @@ class CableVoDSystem:
     # Live headend mode (repro.live)
     # ------------------------------------------------------------------
 
-    def _live_request(self, record: SessionRecord) -> None:
+    def _live_request(self, user_id: int, program_id: int,
+                      duration: float) -> None:
         """Admission-wrapped session start (the live drain's callback)."""
-        self._live_attempt(record, 0)
+        self._live_attempt(user_id, program_id, duration,
+                           self._sim.now + duration, 0)
 
-    def _live_attempt(self, record: SessionRecord, attempts: int) -> None:
-        """Decide one (re)try of a session-start request."""
+    def _live_attempt(self, user_id: int, program_id: int, duration: float,
+                      end: float, attempts: int) -> None:
+        """Decide one (re)try of a session-start request.
+
+        ``end`` is the session window's end, fixed at the request: a
+        retry admitted later watches what remains of it, while its
+        channel lease still runs ``duration`` from the admission.
+        """
         sim = self._sim
         now = sim.now
-        user_id = record.user_id
         verdict = self._live.decide(
-            now, user_id, record.program_id,
-            self._user_neighborhood[user_id], attempts,
-            deadline=record.end_time,
+            now, user_id, program_id, self._user_neighborhood[user_id],
+            attempts, deadline=end,
         )
         action = verdict.action
         if action == "admit":
-            self._start_session_fast(record)
+            self._start_session_fast(user_id, program_id, duration, end)
         elif action == "defer":
             sim.at(now + verdict.retry_after, self._live_attempt,
-                   record, attempts + 1)
+                   user_id, program_id, duration, end, attempts + 1)
         # "deny": accounted inside the controller; nothing reaches the
         # plant.
 

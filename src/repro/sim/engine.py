@@ -127,17 +127,17 @@ class Simulator:
         _heappush(self._heap, (time, next(self._counter), callback, args))
 
     def preload_starts(self, times: Any, callback: EventCallback,
-                       payloads: Any) -> None:
+                       *columns: Any) -> None:
         """:meth:`extend_starts` on a fresh simulator (the one chunk).
 
         Nothing in the package calls it; it stays only because the
         benchmark's layer tracer wraps it by name (a missing target
         fails the traced pass), and goes with the next benchmark change.
         """
-        self.extend_starts(times, callback, payloads)
+        self.extend_starts(times, callback, *columns)
 
     #: Sequence band for dynamically scheduled events under replay.
-    #: extend_starts() cannot know the total record count up front, so
+    #: extend_starts() cannot know the total session count up front, so
     #: instead of numbering dynamic draws past the starts it parks them
     #: in a high band and numbers starts 0, 1, 2, ... chunk after chunk.
     #: Relative order within each class is unchanged and every start
@@ -148,10 +148,14 @@ class Simulator:
     _STREAM_DYNAMIC_SEQ = 1 << 62
 
     def extend_starts(self, times: Any, callback: EventCallback,
-                      payloads: Any) -> None:
+                      *columns: Any) -> None:
         """Register one chunk of a start-sorted event storm mid-run.
 
-        Every replay loads its starts here, as per-tick calendar slabs
+        Start ``i`` fires ``callback(columns[0][i], columns[1][i],
+        ...)`` at ``times[i]``: the columns are the payload (a replay
+        passes a chunk's user, program and duration columns), and each
+        argument row is built only when its bucket activates.  Every
+        replay loads its starts here, as per-tick calendar slabs
         (:meth:`TickBucketQueue.extend_sorted`): call once per trace
         chunk (a whole trace is one chunk), in chronological chunk
         order, after running the clock to just before the chunk's
@@ -189,7 +193,7 @@ class Simulator:
             self._counter = itertools.count(self._STREAM_DYNAMIC_SEQ)
             self._buckets._counter = self._counter
         try:
-            n = self._buckets.extend_sorted(times, payloads, callback,
+            n = self._buckets.extend_sorted(times, columns, callback,
                                             self._start_seq)
         except ValueError as error:
             raise SimulationError(str(error)) from None

@@ -23,15 +23,17 @@ Session-start slabs
 -------------------
 
 Trace replay carries a second storm: one session-*start* event per
-trace record, registered chunk by chunk (a whole trace is one chunk)
+trace session, registered chunk by chunk (a whole trace is one chunk)
 before the clock reaches the chunk's window.
 :meth:`TickBucketQueue.extend_sorted` stores a chunk's start-sorted
 column as per-bucket **slabs** -- ``(lo, hi)`` slices into the caller's
-own lists, found with one bisect per bucket -- and materializes a slab
-into ``(time, seq, callback, args)`` entries only when its bucket is
-activated.  Record ``i`` of the replay takes sequence number ``i``,
+own columns, found with one bisect per bucket -- and materializes a
+slab into ``(time, seq, callback, args)`` entries, each ``args`` one
+row of the argument columns, only when its bucket is activated.  The
+columns are the payload: no per-session object exists before its
+bucket activates.  Session ``i`` of the replay takes sequence number ``i``,
 below every dynamic draw (the simulator parks those in a high band),
-which orders the starts exactly as scheduling each record in column
+which orders the starts exactly as scheduling each session in column
 order before anything else would: the resulting execution order is
 bit-identical, and buckets past a run's horizon never pay for
 materialization at all.
@@ -49,7 +51,7 @@ from __future__ import annotations
 import heapq
 import operator
 from bisect import bisect_left
-from itertools import islice
+from itertools import islice, repeat
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.units import SEGMENT_SECONDS
@@ -98,9 +100,9 @@ class TickBucketQueue:
         self._front_pos = 0
         #: Tick index of ``_front`` (-1 before any bucket is activated).
         self._front_tick = -1
-        #: tick -> (lo, hi, (times, payloads, callback, base_seq)):
+        #: tick -> (lo, hi, (times, columns, callback, base_seq)):
         #: a slice of a chunk's start column plus its backing source.
-        #: The record at slice index ``i`` carries sequence number
+        #: The session at slice index ``i`` carries sequence number
         #: ``base_seq + i`` (a running chunk offset).  Per-slab sources
         #: let a chunk's columns be released as soon as its last bucket
         #: drains -- the whole point of streaming replay.
@@ -139,16 +141,19 @@ class TickBucketQueue:
             bucket.append(entry)
         return arc
 
-    def extend_sorted(self, times: Sequence[float], payloads: Sequence[Any],
+    def extend_sorted(self, times: Sequence[float],
+                      columns: Tuple[Sequence[Any], ...],
                       callback: Callable[..., None], base_seq: int) -> int:
-        """Register ``callback(payload)`` firings from sorted columns.
+        """Register ``callback(*row)`` firings from sorted columns.
 
-        The columns become per-tick slabs with one bisect per distinct
-        tick; no per-entry tuple, dict probe or counter draw happens
-        until a bucket is activated.  Entry ``i`` takes sequence number
-        ``base_seq + i``: a replay threads a running record index
-        through its chunks, so every record gets the same sequence
-        number however the trace is chunked.
+        ``columns`` are the argument columns, parallel to ``times``:
+        entry ``i`` fires ``callback(columns[0][i], columns[1][i],
+        ...)``.  The columns become per-tick slabs with one bisect per
+        distinct tick; no per-entry tuple, argument row, dict probe or
+        counter draw happens until a bucket is activated.  Entry ``i``
+        takes sequence number ``base_seq + i``: a replay threads a
+        running session index through its chunks, so every session
+        gets the same sequence number however the trace is chunked.
 
         ``times`` must be ascending (verified with one C-level pairwise
         scan -- a mis-ordered column would mis-bucket silently) and
@@ -161,10 +166,10 @@ class TickBucketQueue:
         overwritten.
         """
         n = len(times)
-        if len(payloads) != n:
+        if not columns or any(len(column) != n for column in columns):
             raise ValueError(
-                f"slab columns disagree: {n} times vs "
-                f"{len(payloads)} payloads"
+                f"slab needs argument columns as long as its {n} times, "
+                f"got lengths {[len(column) for column in columns]}"
             )
         if not all(map(operator.le, times, islice(times, 1, None))):
             raise ValueError("slab start times must be ascending")
@@ -175,7 +180,7 @@ class TickBucketQueue:
                 "slab starts at or before the bucket being drained; run "
                 "the clock past the chunk boundary before extending"
             )
-        src = (times, payloads, callback, base_seq)
+        src = (times, columns, callback, base_seq)
         lo = 0
         while lo < n:
             tick = int(times[lo] // SEGMENT_SECONDS)
@@ -200,19 +205,22 @@ class TickBucketQueue:
     def _activate_next_bucket(self) -> None:
         """Advance ``_front`` to the earliest pending bucket, sorted.
 
-        A start slab materializes here: its entries come out
-        time- and seq-ascending by construction, so a slab-only bucket
-        skips the sort entirely and a mixed bucket merges the slab run
-        into one adaptive ``list.sort``.
+        A start slab materializes here, its argument rows zipped from
+        the slices of its columns: its entries come out time- and
+        seq-ascending by construction, so a slab-only bucket skips the
+        sort entirely and a mixed bucket merges the slab run into one
+        adaptive ``list.sort``.
         """
         while self._tick_heap:
             tick = heapq.heappop(self._tick_heap)
             entries = self._buckets.pop(tick)
             slab = self._slabs.pop(tick, None)
             if slab is not None:
-                lo, hi, (times, payloads, callback, base) = slab
-                built = [(times[i], base + i, callback, (payloads[i],))
-                         for i in range(lo, hi)]
+                lo, hi, (times, columns, callback, base) = slab
+                built = list(zip(
+                    times[lo:hi], range(base + lo, base + hi),
+                    repeat(callback),
+                    zip(*[column[lo:hi] for column in columns])))
                 if entries:
                     entries.extend(built)
                     entries.sort()

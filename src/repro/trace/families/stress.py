@@ -33,9 +33,11 @@ also re-roots the perturbation streams.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.random_streams import RandomStreams, derive_seed
@@ -45,11 +47,31 @@ from repro.trace.families import (
     coerce_trace_model,
     workload_family,
 )
-from repro.trace.records import SessionRecord, Trace
+from repro.trace.records import Catalog, Trace
 from repro.trace.synthetic import PowerInfoModel, _sample_poisson
 
 _SECONDS_PER_HOUR = 3600.0
 _SECONDS_PER_DAY = 86400.0
+
+
+def _sorted_trace(starts: Sequence[float], users: Sequence[int],
+                  programs: Sequence[int], durations: Sequence[float],
+                  catalog: Catalog, n_users: int) -> Trace:
+    """``Trace.from_columns`` of rows a remap or a spike may have reordered.
+
+    Strictly ascending starts are already in ``(start, user, program)``
+    order.  Otherwise the rows are stably sorted by that key -- the
+    order the record constructor's ``sorted()`` gives, ties on the
+    whole key keeping their row order.
+    """
+    if not all(map(operator.lt, starts, islice(starts, 1, None))):
+        order = sorted(range(len(starts)),
+                       key=lambda i: (starts[i], users[i], programs[i]))
+        starts, users, programs, durations = (
+            [column[i] for i in order]
+            for column in (starts, users, programs, durations))
+    return Trace.from_columns(starts, users, programs, durations, catalog,
+                              n_users)
 
 
 @dataclass(frozen=True)
@@ -58,8 +80,8 @@ class _StressModel(WorkloadModel):
 
     base: WorkloadModel = field(default_factory=PowerInfoModel)
 
-    #: Perturbations rewrite the whole record list, so none of these
-    #: families can stream chunks lazily even when the base could.
+    #: Perturbations rewrite whole columns of the base trace, so none of
+    #: these families can stream chunks lazily even when the base could.
     supports_streaming: ClassVar[bool] = False
     nested_family_fields: ClassVar[Tuple[str, ...]] = ("base",)
 
@@ -129,7 +151,7 @@ class FlashCrowdModel(_StressModel):
             (base_trace.end_time - base_trace.start_time)
             / _SECONDS_PER_HOUR, 1.0)
         mean_rate = len(base_trace) / span_hours
-        _, user_column, program_column, duration_column = \
+        start_column, user_column, program_column, duration_column = \
             base_trace.columns()
         # Spike sessions resample the base trace's own empirical
         # columns: users from the user column, durations from the
@@ -148,7 +170,8 @@ class FlashCrowdModel(_StressModel):
         counts_rng = streams.get("spike-counts")
         events_rng = streams.get("spike-events")
         window_start = self.spike_day * _SECONDS_PER_DAY
-        extra: List[SessionRecord] = []
+        starts, users = list(start_column), list(user_column)
+        programs, durations = list(program_column), list(duration_column)
         full_hours = int(self.spike_hours)
         for hour in range(full_hours + 1):
             hour_fraction = min(self.spike_hours - hour, 1.0)
@@ -159,18 +182,14 @@ class FlashCrowdModel(_StressModel):
             for _ in range(_sample_poisson(counts_rng, lam)):
                 start = hour_start + (events_rng.random() * hour_fraction
                                       * _SECONDS_PER_HOUR)
-                user_id = user_column[
-                    int(events_rng.random() * len(user_column))]
-                duration = target_durations[
-                    int(events_rng.random() * len(target_durations))]
-                extra.append(SessionRecord(
-                    start_time=start,
-                    user_id=user_id,
-                    program_id=target,
-                    duration_seconds=duration,
-                ))
-        return Trace(list(base_trace.records) + extra, base_trace.catalog,
-                     n_users=base_trace.n_users)
+                starts.append(start)
+                users.append(user_column[
+                    int(events_rng.random() * len(user_column))])
+                programs.append(target)
+                durations.append(target_durations[
+                    int(events_rng.random() * len(target_durations))])
+        return _sorted_trace(starts, users, programs, durations,
+                             base_trace.catalog, base_trace.n_users)
 
 
 @workload_family("catalog-churn", summary="mid-replay popularity shift: "
@@ -192,7 +211,7 @@ class CatalogChurnModel(_StressModel):
         base_trace = self.base.build_trace(backend)
         # Permute ids only within equal-length classes: a session's
         # duration can never exceed its (new) program's length, so the
-        # remapped records stay valid by construction.
+        # remapped sessions stay valid by construction.
         classes: Dict[float, List[int]] = {}
         for program in base_trace.catalog:
             classes.setdefault(
@@ -204,14 +223,13 @@ class CatalogChurnModel(_StressModel):
             shuffled = list(ids)
             shuffle_rng.shuffle(shuffled)
             mapping.update(zip(ids, shuffled))
-        churn_time = self.churn_day * _SECONDS_PER_DAY
-        records = [
-            record if record.start_time < churn_time
-            else replace(record, program_id=mapping[record.program_id])
-            for record in base_trace.records
-        ]
-        return Trace(records, base_trace.catalog,
-                     n_users=base_trace.n_users)
+        starts, users, programs, durations = base_trace.columns()
+        # Sessions starting before the churn keep their programs.
+        cut = bisect_left(starts, self.churn_day * _SECONDS_PER_DAY)
+        programs = programs[:cut] + list(map(mapping.__getitem__,
+                                             programs[cut:]))
+        return _sorted_trace(starts, users, programs, durations,
+                             base_trace.catalog, base_trace.n_users)
 
 
 @workload_family("zipf-beta", summary="heterogeneous user activity: "
@@ -243,10 +261,11 @@ class ZipfBetaModel(_StressModel):
         rank_to_user = list(range(n_users))
         streams.get("user-ranks").shuffle(rank_to_user)
         draws_rng = streams.get("user-draws")
-        records = [
-            replace(record, user_id=rank_to_user[
-                min(bisect_left(user_cdf, draws_rng.random()),
-                    n_users - 1)])
-            for record in base_trace.records
+        starts, _, programs, durations = base_trace.columns()
+        users = [
+            rank_to_user[min(bisect_left(user_cdf, draws_rng.random()),
+                             n_users - 1)]
+            for _ in starts
         ]
-        return Trace(records, base_trace.catalog, n_users=n_users)
+        return _sorted_trace(starts, users, programs, durations,
+                             base_trace.catalog, n_users)

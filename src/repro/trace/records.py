@@ -6,7 +6,9 @@ started (paper §V-A: "Each of these records identifies the user, the
 program, and the length of the session").  This module defines the exact
 same schema plus the program catalog metadata (length, introduction time)
 that the paper derives from access patterns, and the column slab
-(`TraceChunk`) in which streamed replays and slice files carry records.
+(`TraceChunk`) in which replays and slice files carry sessions.  Columns
+are the one per-session representation every replay reads;
+`SessionRecord` objects are a lazy view for analysis callers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import bisect
 import operator
 from dataclasses import dataclass, field
+from collections import Counter
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -163,11 +166,55 @@ class SessionRecord:
         return self.duration_seconds * units.STREAM_RATE_BPS
 
 
+def check_columns(
+    start_times: Sequence[float],
+    user_ids: Sequence[int],
+    program_ids: Sequence[int],
+    durations: Sequence[float],
+) -> None:
+    """Refuse session columns any row of which :class:`SessionRecord` refuses.
+
+    The four ``SessionRecord.__post_init__`` conditions (start, user and
+    program non-negative, duration positive), checked with one C-level
+    ``min()`` per column instead of one record per session.
+
+    Raises
+    ------
+    TraceError
+        Naming the column's lowest offending value.
+    """
+    if not len(start_times):
+        return
+    for name, column in (("start_time", start_times), ("user_id", user_ids),
+                         ("program_id", program_ids)):
+        low = _lowest(column)
+        if low < 0:
+            raise TraceError(f"{name} must be non-negative, got {low}")
+    low = _lowest(durations)
+    if low <= 0:
+        row = next(i for i, d in enumerate(durations) if d == low)
+        raise TraceError(
+            f"duration must be positive, got {low} "
+            f"(user {user_ids[row]}, program {program_ids[row]})"
+        )
+
+
+def _lowest(column: Sequence[float]) -> float:
+    """``min(column)``, NaN-proof: a leading NaN would win the C scan."""
+    low = min(column)
+    if low == low:
+        return low
+    return min((value for value in column if value == value), default=0.0)
+
+
 class Trace:
     """A chronologically sorted sequence of sessions plus its catalog.
 
-    The trace owns enough metadata (user count, time span) that consumers
-    never need to rescan the records for basic facts.
+    The sessions live as four parallel columns (start, user, program,
+    duration) -- what every replay reads and every slice file stores.
+    :attr:`records` is a view for analysis callers, built on first use
+    and memoized; the metadata (length, span, per-program counts) is
+    answered from the columns.
     """
 
     def __init__(
@@ -176,10 +223,9 @@ class Trace:
         catalog: Catalog,
         n_users: Optional[int] = None,
     ) -> None:
-        self._records: List[SessionRecord] = sorted(records)
-        self._catalog = catalog
+        records = sorted(records)
         max_user = -1
-        for record in self._records:
+        for record in records:
             if record.program_id not in catalog:
                 raise TraceError(
                     f"record references program {record.program_id} missing "
@@ -199,10 +245,16 @@ class Trace:
             raise TraceError(
                 f"declared n_users={n_users} but a record references user {max_user}"
             )
+        self._catalog = catalog
         self._n_users = n_users
-        self._start_times = [r.start_time for r in self._records]
-        self._columns: Optional[Tuple[List[float], List[int], List[int],
-                                      List[float]]] = None
+        self._columns = (
+            [r.start_time for r in records],
+            [r.user_id for r in records],
+            [r.program_id for r in records],
+            [r.duration_seconds for r in records],
+        )
+        # The caller built these records anyway: they seed the view.
+        self._records: Optional[List[SessionRecord]] = records
 
     # ------------------------------------------------------------------
     # Columnar construction (trusted fast path)
@@ -221,21 +273,22 @@ class Trace:
         """Build a trace from parallel columns already in sorted order.
 
         This is the trusted ingestion path shared by the vectorized
-        generator backend and the slice-file attach used by sweep and
-        shard workers: callers hand over four parallel columns (any
-        sequence type) that are **already sorted by**
-        ``(start_time, user_id, program_id)`` and
-        **already catalog-consistent** (every program id resolvable,
-        every duration within its program's length).  Only cheap
-        aggregate checks run here -- per-record validation still happens
-        in :class:`SessionRecord`, but the O(n log n) sort and the
-        per-record catalog lookups of the list constructor are skipped.
+        generator backend, the workload families and the slice-file
+        attach used by sweep and shard workers: callers hand over four
+        parallel columns (any sequence type) that are **already sorted
+        by** ``(start_time, user_id, program_id)`` and **already
+        catalog-consistent** (every duration within its program's
+        length).  No record is built: each column is checked once
+        (:func:`check_columns`, the ``SessionRecord`` field rules), and
+        the O(n log n) sort and the per-record catalog lookups of the
+        list constructor are skipped.
 
         Raises
         ------
         TraceError
-            If the aggregate invariants fail (unsorted starts, id out of
-            range) -- the guard against attaching a corrupt buffer.
+            If a field rule or an aggregate invariant fails (negative
+            field, unsorted starts, id out of range) -- the guard
+            against attaching a corrupt buffer.
         """
         if not (len(start_times) == len(user_ids) == len(program_ids)
                 == len(durations)):
@@ -244,37 +297,32 @@ class Trace:
                 f"{len(start_times)}/{len(user_ids)}/{len(program_ids)}"
                 f"/{len(durations)}"
             )
-        records = list(map(SessionRecord, start_times, user_ids,
-                           program_ids, durations))
-        # Each SessionRecord re-validated its own fields above; the
-        # aggregate checks below cover the cross-record/cross-catalog
-        # invariants the trusted path still owes its callers.
-        starts = list(start_times)
+        # Copy with list(): a caller may hand in any sequence, or another
+        # trace's own columns, and the trace must own its lists.
+        columns = (list(start_times), list(user_ids), list(program_ids),
+                   list(durations))
+        check_columns(*columns)
+        starts, users, programs, _ = columns
         if starts:
             # C-level pairwise scan: no sorted() copy of a column that
             # can be tens of millions of entries in a pool worker.
             if not all(map(operator.le, starts, islice(starts, 1, None))):
                 raise TraceError("from_columns requires start-sorted columns")
-            if max(user_ids) >= n_users:
+            if max(users) >= n_users:
                 raise TraceError(
                     f"declared n_users={n_users} but a record references "
-                    f"user {max(user_ids)}"
+                    f"user {max(users)}"
                 )
-            if max(program_ids) >= len(catalog):
+            if max(programs) >= len(catalog):
                 raise TraceError(
-                    f"a record references program {max(program_ids)} but the "
+                    f"a record references program {max(programs)} but the "
                     f"catalog has {len(catalog)} programs"
                 )
         trace = cls.__new__(cls)
-        trace._records = records
         trace._catalog = catalog
         trace._n_users = n_users
-        trace._start_times = starts
-        # Seed the column cache from the caller's columns.  Materialize
-        # with list(): a caller may hand in any sequence, or another
-        # trace's own columns, and the cache must own its lists.
-        trace._columns = (starts, list(user_ids), list(program_ids),
-                          list(durations))
+        trace._columns = columns
+        trace._records = None
         return trace
 
     @classmethod
@@ -290,17 +338,17 @@ class Trace:
         return cls.from_columns(*columns, catalog, n_users)
 
     # ------------------------------------------------------------------
-    # Container protocol
+    # Container protocol (the record view)
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._columns[0])
 
     def __iter__(self) -> Iterator[SessionRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     def __getitem__(self, index: int) -> SessionRecord:
-        return self._records[index]
+        return self.records[index]
 
     # ------------------------------------------------------------------
     # Metadata
@@ -318,58 +366,51 @@ class Trace:
 
     @property
     def start_times(self) -> Sequence[float]:
-        """Session start times in record order.
+        """Session start times in record order (the first column).
 
-        A read-only view of the trace's own column (do **not** mutate):
-        the engine's session-start slabs and the slice-file
-        writer walk hundreds of thousands of starts, so handing out
-        a defensive copy per access would dominate their cost.
+        A read-only view of the trace's own column (do **not** mutate).
         """
-        return self._start_times
+        return self._columns[0]
 
     @property
     def records(self) -> Sequence[SessionRecord]:
         """All session records in chronological order.
 
-        Like :attr:`start_times`, this is a read-only view of the
-        internal list, not a copy -- treat it as immutable.
+        A view for analysis callers: built from the columns on first
+        access and memoized (a trace from the list constructor already
+        holds it).  No replay reads it.  Treat it as immutable.
         """
-        return self._records
+        records = self._records
+        if records is None:
+            records = self._records = list(map(SessionRecord,
+                                               *self._columns))
+        return records
 
     def columns(self) -> Tuple[List[float], List[int], List[int], List[float]]:
         """Parallel ``(start_times, user_ids, program_ids, durations)`` lists.
 
-        The trace's record stream as four read-only columns in record
-        order -- the columnar engine's input.  Built lazily on first use
-        and memoized (column-built traces arrive with the cache already
-        seeded), so replaying one trace across a config sweep extracts
-        the columns once.  Treat the lists as immutable views.
+        The trace's sessions as four read-only columns in record order
+        -- the payload of every replay, slice file and workload
+        transform.  Treat the lists as immutable views.
         """
-        columns = self._columns
-        if columns is None:
-            records = self._records
-            columns = self._columns = (
-                self._start_times,
-                [r.user_id for r in records],
-                [r.program_id for r in records],
-                [r.duration_seconds for r in records],
-            )
-        return columns
+        return self._columns
 
     @property
     def start_time(self) -> float:
         """Start time of the earliest session (0.0 for an empty trace)."""
-        return self._records[0].start_time if self._records else 0.0
+        starts = self._columns[0]
+        return starts[0] if starts else 0.0
 
     @property
     def end_time(self) -> float:
         """Latest session *end* across the trace (0.0 for an empty trace)."""
-        return max((r.end_time for r in self._records), default=0.0)
+        starts, _, _, durations = self._columns
+        return max(map(operator.add, starts, durations), default=0.0)
 
     @property
     def span_days(self) -> float:
         """Days between trace start and the last session end."""
-        if not self._records:
+        if not len(self):
             return 0.0
         return (self.end_time - self.start_time) / units.SECONDS_PER_DAY
 
@@ -377,18 +418,20 @@ class Trace:
     # Queries
     # ------------------------------------------------------------------
 
+    def _rows_between(self, start: float, end: float) -> Tuple[int, int]:
+        starts = self._columns[0]
+        return (bisect.bisect_left(starts, start),
+                bisect.bisect_left(starts, end))
+
     def records_between(self, start: float, end: float) -> List[SessionRecord]:
         """Records whose *start* time falls in ``[start, end)``."""
-        lo = bisect.bisect_left(self._start_times, start)
-        hi = bisect.bisect_left(self._start_times, end)
-        return self._records[lo:hi]
+        lo, hi = self._rows_between(start, end)
+        return list(map(SessionRecord,
+                        *(column[lo:hi] for column in self._columns)))
 
     def sessions_per_program(self) -> Dict[int, int]:
         """Total session count per program id (absent ids omitted)."""
-        counts: Dict[int, int] = {}
-        for record in self._records:
-            counts[record.program_id] = counts.get(record.program_id, 0) + 1
-        return counts
+        return dict(Counter(self._columns[2]))
 
     def most_popular_program(self) -> int:
         """Program id with the most sessions.
@@ -405,11 +448,15 @@ class Trace:
 
     def total_bits_delivered(self) -> float:
         """Sum of bits streamed across every session."""
-        return sum(r.bits_delivered for r in self._records)
+        rate = units.STREAM_RATE_BPS
+        return sum(duration * rate for duration in self._columns[3])
 
     def restricted_to_window(self, start: float, end: float) -> "Trace":
         """A new trace containing only sessions starting in ``[start, end)``."""
-        return Trace(self.records_between(start, end), self._catalog, self._n_users)
+        lo, hi = self._rows_between(start, end)
+        return Trace.from_columns(
+            *(column[lo:hi] for column in self._columns),
+            self._catalog, self._n_users)
 
 
 class TraceChunk:
@@ -417,8 +464,10 @@ class TraceChunk:
 
     Columns are plain python lists (the same values ``Trace.from_columns``
     would ingest), already sorted by ``(start_time, user_id,
-    program_id)``.  Not a dataclass and no ``__slots__`` on purpose:
-    the bounded-memory test holds weakrefs to yielded chunks.
+    program_id)``.  They are the replay payload: both engines read a
+    chunk's sessions straight from its columns, and no record is built
+    from them.  Not a dataclass and no ``__slots__`` on purpose: the
+    bounded-memory test holds weakrefs to yielded chunks.
     """
 
     def __init__(
@@ -451,12 +500,3 @@ class TraceChunk:
 
     def __len__(self) -> int:
         return len(self.start_times)
-
-    def records(self) -> List[SessionRecord]:
-        """Materialize this chunk's rows as ``SessionRecord`` objects.
-
-        Built fresh on every call (no caching) so a replay driver that
-        drops the returned list keeps peak memory at one chunk.
-        """
-        return list(map(SessionRecord, self.start_times, self.user_ids,
-                        self.program_ids, self.durations))

@@ -41,7 +41,13 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
 from repro.errors import TraceError
-from repro.trace.records import Catalog, Program, Trace, TraceChunk
+from repro.trace.records import (
+    Catalog,
+    Program,
+    Trace,
+    TraceChunk,
+    check_columns,
+)
 
 _MAGIC = b"REPROSL1"
 _HEADER = struct.Struct("<8sQQ")
@@ -157,13 +163,19 @@ class SliceReader:
         return column.tolist()
 
     def chunks(self) -> Iterator[TraceChunk]:
-        """Yield every chunk in file order, then close the file."""
+        """Yield every chunk in file order, then close the file.
+
+        Each chunk's columns pass :func:`~repro.trace.records.check_columns`
+        first, so a damaged slice raises :class:`~repro.errors.TraceError`
+        on every engine before any of its sessions replays.
+        """
         with self._file:
             for _ in range(self._handle.n_chunks):
                 index, h0, h1, n = _CHUNK.unpack(self._file.read(_CHUNK.size))
-                yield TraceChunk(index, h0, h1, self._column("d", n),
-                                 self._column("q", n), self._column("q", n),
-                                 self._column("d", n))
+                columns = (self._column("d", n), self._column("q", n),
+                           self._column("q", n), self._column("d", n))
+                check_columns(*columns)
+                yield TraceChunk(index, h0, h1, *columns)
 
     def materialize(self) -> Trace:
         """Concatenate every chunk into one ``Trace`` (global ids)."""
@@ -188,17 +200,12 @@ def publish_trace(trace: Trace, directory: Optional[str] = None) -> SliceHandle:
     whose lifetime must cover every attach.  ``OSError`` (no space,
     unwritable dir) propagates; callers fall back to regenerating.
     """
-    records = trace.records
+    starts, users, programs, durations = trace.columns()
     writer = SliceWriter(trace.catalog, trace.n_users, directory)
     try:
-        if records:
-            # Generator feeds: no n-element intermediate list per column.
-            writer.write_chunk(
-                0, 0, 0, array("d", trace.start_times),
-                array("q", (r.user_id for r in records)),
-                array("q", (r.program_id for r in records)),
-                array("d", (r.duration_seconds for r in records)),
-            )
+        if starts:
+            writer.write_chunk(0, 0, 0, array("d", starts), array("q", users),
+                               array("q", programs), array("d", durations))
     except BaseException:
         writer.discard()
         raise
@@ -214,8 +221,10 @@ def attach_trace(handle: SliceHandle) -> Trace:
     """Rebuild the trace in ``handle``'s slice file, every chunk in order.
 
     Corrupt or truncated files raise :class:`~repro.errors.TraceError`
-    -- and ``Trace.from_columns`` re-checks the ordering and id
-    invariants -- rather than feeding a damaged trace to a simulation.
+    -- every chunk's field rules are checked as it is read, and
+    ``Trace.from_columns`` re-checks the ordering and id invariants --
+    rather than feeding a damaged trace to a simulation.  No session
+    record is built.
     """
     with attach_columns(handle) as reader:
         return reader.materialize()

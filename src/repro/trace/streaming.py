@@ -17,10 +17,10 @@ Both backends stream bit-identically to their batch counterparts:
   consumption plus two ``advance()`` clones (final-hour peek, body
   uniforms);
 * the python path re-runs ``generate_trace``'s per-hour loop with
-  persistent samplers and streams, cutting the record list at chunk
-  boundaries -- hour blocks are disjoint, so sorting each chunk with the
-  ``SessionRecord`` ordering reproduces the batch constructor's global
-  sort slice by slice.
+  persistent samplers and streams, cutting the session rows at chunk
+  boundaries -- hour blocks are disjoint, so a stable sort of each
+  chunk by ``(start, user, program)`` (the ``SessionRecord`` ordering)
+  reproduces the batch constructor's global sort slice by slice.
 
 ``TraceStream.materialize()`` concatenates the chunks back into a
 ``Trace`` equal to ``generate_trace(model, backend)`` -- the equality
@@ -35,12 +35,13 @@ collected as the consumer advances.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence
 
 from repro import units
 from repro.errors import ConfigurationError
 from repro.sim.random_streams import RandomStreams
-from repro.trace.records import Catalog, SessionRecord, Trace, TraceChunk
+from repro.trace.records import Catalog, Trace, TraceChunk
 from repro.trace.synthetic import (
     PowerInfoModel,
     _arrival_profile,
@@ -158,7 +159,7 @@ class TraceStream:
         index = 0
         for h0 in range(0, total_hours, self._chunk_hours):
             h1 = min(h0 + self._chunk_hours, total_hours)
-            records: List[SessionRecord] = []
+            rows: List[tuple] = []
             for hour in range(h0, h1):
                 hod = hour % units.HOURS_PER_DAY
                 lam = daily_sessions * shares[hod]
@@ -173,24 +174,11 @@ class TraceStream:
                     program_id = program_sampler.sample(start, rng_programs)
                     program = catalog[program_id]
                     duration = length_sampler.sample(program, rng_lengths)
-                    records.append(
-                        SessionRecord(
-                            start_time=start,
-                            user_id=user_id,
-                            program_id=program_id,
-                            duration_seconds=duration,
-                        )
-                    )
-            if not records:
+                    rows.append((start, user_id, program_id, duration))
+            if not rows:
                 continue
-            records.sort()
-            yield TraceChunk(
-                index, h0, h1,
-                [r.start_time for r in records],
-                [r.user_id for r in records],
-                [r.program_id for r in records],
-                [r.duration_seconds for r in records],
-            )
+            rows.sort(key=itemgetter(0, 1, 2))
+            yield TraceChunk(index, h0, h1, *map(list, zip(*rows)))
             index += 1
 
     def materialize(self) -> Trace:

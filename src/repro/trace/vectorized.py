@@ -189,7 +189,13 @@ def _session_durations_from(
 
     body_idx = np.nonzero(~full_mask)[0]
     body_len = program_lengths[body_idx]
-    for length in np.unique(body_len):
+    # The distinct lengths, ascending: a sort and an adjacent-difference
+    # dedupe (np.unique would import numpy.ma on every generation).
+    lengths = np.sort(body_len)
+    if lengths.size:
+        distinct = np.concatenate(([True], lengths[1:] != lengths[:-1]))
+        lengths = lengths[distinct]
+    for length in lengths:
         lower = min(model.min_session_seconds, length / 2.0)
         cdf_lo = dist.normal_cdf((math.log(lower) - mu) / sigma)
         cdf_hi = dist.normal_cdf((math.log(length) - mu) / sigma)

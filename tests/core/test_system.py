@@ -230,6 +230,13 @@ class TestOneReplayPerSystem:
             result = system.run()
         assert result.counters.sessions == len(tiny_trace)
 
+    def test_traceless_future_knowledge_strategy_is_refused(self,
+                                                            tiny_model):
+        stream = open_trace_stream(tiny_model)
+        with pytest.raises(SimulationError, match="oracle.*future"):
+            CableVoDSystem(None, config(strategy=OracleSpec()),
+                           catalog=stream.catalog, n_users=stream.n_users)
+
     def test_columnar_chunk_run_equals_own_trace_run(self, tiny_model,
                                                      tiny_trace):
         """Columnar drains chunks: ``run(chunks)`` equals ``run()``."""
@@ -285,3 +292,77 @@ class TestCatalogTables:
         result = system.run(open_trace_stream(model).chunks())
         assert result.counters.admissions > 0
         assert sorted(calls) == list(range(len(catalog)))
+
+
+class TestNoRecordsOnReplay:
+    """Columns are the replay payload: no path builds a ``SessionRecord``."""
+
+    @pytest.fixture
+    def record_inits(self, monkeypatch):
+        """Every ``SessionRecord`` construction from here on."""
+        calls = []
+        real = SessionRecord.__init__
+
+        def counting(record, *args, **kwargs):
+            calls.append(args)
+            real(record, *args, **kwargs)
+
+        monkeypatch.setattr(SessionRecord, "__init__", counting)
+        return calls
+
+    @pytest.fixture
+    def column_trace(self, tiny_trace, record_inits):
+        """``tiny_trace`` rebuilt from its columns, counted from the start."""
+        return Trace.from_columns(*tiny_trace.columns(), tiny_trace.catalog,
+                                  tiny_trace.n_users)
+
+    @pytest.mark.parametrize("engine", ["bucket", "columnar"])
+    def test_replay_of_a_column_built_trace(self, column_trace, record_inits,
+                                            engine):
+        result = CableVoDSystem(column_trace, config(), engine=engine).run()
+        assert result.counters.sessions == len(column_trace)
+        assert record_inits == []
+
+    @pytest.mark.parametrize("engine", ["bucket", "columnar"])
+    def test_streamed_two_shard_run(self, tiny_model, tiny_trace,
+                                    record_inits, engine):
+        from repro.core.shard import run_sharded
+
+        result = run_sharded(tiny_model, config(), n_shards=2, engine=engine,
+                             streaming=True, workers=1)
+        assert result.counters.sessions == len(tiny_trace)
+        assert record_inits == []
+
+    def test_live_throttle_and_vtc_run(self, column_trace, record_inits):
+        from repro.live import FairnessSpec, ThrottleSpec
+
+        controller = AdmissionController(
+            throttle=ThrottleSpec(user_budget=2, user_window_seconds=86400.0),
+            fairness=FairnessSpec(lead_seconds=3600.0, fill_weight=2.0),
+        )
+        result = CableVoDSystem(column_trace, config()).run(
+            admission=controller)
+        assert result.live.denied > 0 and result.live.deferrals > 0
+        assert record_inits == []
+
+    def test_sweep_worker_attach(self, tiny_model, column_trace,
+                                 record_inits):
+        from repro.core.parallel import (
+            SimulationTask,
+            _attached_trace,
+            _execute_shared,
+        )
+        from repro.trace.share import publish_trace, unlink_slice
+        from repro.trace.workload import Workload
+
+        handle = publish_trace(column_trace)
+        try:
+            _attached_trace.cache_clear()
+            task = SimulationTask(workload=Workload(model=tiny_model),
+                                  config=config())
+            outcome = _execute_shared((task, handle))
+        finally:
+            _attached_trace.cache_clear()
+            unlink_slice(handle.path)
+        assert outcome[0].counters.sessions == len(column_trace)
+        assert record_inits == []

@@ -309,3 +309,23 @@ class TestPreloadedStartSlabs:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.preload_starts([5.0, 10.0], lambda p: None, ["a"])
+        with pytest.raises(SimulationError):
+            sim.preload_starts([5.0, 10.0], lambda *row: None, ["a", "b"],
+                               ["c"])
+
+    def test_preload_rejects_a_slab_without_argument_columns(self):
+        with pytest.raises(SimulationError):
+            Simulator().preload_starts([5.0], lambda: None)
+
+    def test_argument_columns_fire_as_rows(self):
+        # Start i fires callback(columns[0][i], columns[1][i], ...).
+        sim = Simulator()
+        fired = []
+        sim.preload_starts(
+            [10.0, 20.0, 700.0],
+            lambda user, program, duration: fired.append(
+                (sim.now, user, program, duration)),
+            [4, 5, 6], [1, 2, 3], [60.0, 70.0, 80.0])
+        sim.run()
+        assert fired == [(10.0, 4, 1, 60.0), (20.0, 5, 2, 70.0),
+                         (700.0, 6, 3, 80.0)]

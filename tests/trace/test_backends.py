@@ -289,3 +289,33 @@ class TestSamplerEdgeCases:
             generate_trace(model, backend="python")
         with pytest.raises(ConfigurationError):
             generate_trace(model, backend="numpy")
+
+
+@needs_numpy
+def test_numpy_generation_leaves_numpy_ma_unimported():
+    """Generating and streaming a trace never imports ``numpy.ma``.
+
+    ``np.unique`` imports it on recent numpy (``_unique1d`` asks
+    ``np.ma.is_masked``), tens of milliseconds of every generation; a
+    fresh interpreter shows whether anything pulls it in.
+    """
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.dirname(synthetic.__file__)))
+    script = (
+        "import sys\n"
+        "from repro.trace.streaming import open_trace_stream\n"
+        "from repro.trace.synthetic import PowerInfoModel, generate_trace\n"
+        "model = PowerInfoModel(n_users=300, n_programs=60, days=2.0,"
+        " seed=3)\n"
+        "assert len(generate_trace(model, 'numpy')) > 0\n"
+        "assert sum(map(len, open_trace_stream(model, 'numpy').chunks()))\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

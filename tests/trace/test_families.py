@@ -25,6 +25,7 @@ from repro.trace.families.stress import (
     CatalogChurnModel,
     FlashCrowdModel,
     ZipfBetaModel,
+    _sorted_trace,
 )
 from repro.trace.families.tracefile import TraceFileModel
 from repro.trace.io import dump_trace
@@ -261,6 +262,31 @@ class TestCatalogChurnFamily:
         for before, after in zip(base_trace, churned):
             assert (churned.catalog[after.program_id].length_seconds
                     == base_trace.catalog[before.program_id].length_seconds)
+
+
+class TestStressColumns:
+    """Column transforms re-sort exactly as the record constructor sorts."""
+
+    def test_reordered_ties_sort_like_records(self):
+        from repro.trace.records import SessionRecord, Trace
+        from tests.conftest import make_catalog
+
+        # Rows as a remap or a spike leaves them: tied starts whose
+        # users/programs are out of order, and one whole-key tie.
+        rows = [(5.0, 1, 2, 60.0), (5.0, 1, 0, 70.0), (5.0, 0, 3, 80.0),
+                (1.0, 2, 1, 90.0), (9.0, 0, 0, 100.0), (5.0, 1, 0, 110.0)]
+        catalog = make_catalog()
+        expected = Trace([SessionRecord(*row) for row in rows], catalog,
+                         n_users=3)
+        got = _sorted_trace(*map(list, zip(*rows)), catalog, 3)
+        assert got.columns() == expected.columns()
+
+    def test_ascending_starts_are_kept_as_given(self):
+        from tests.conftest import make_catalog
+
+        columns = ([1.0, 2.0], [1, 0], [3, 0], [60.0, 70.0])
+        got = _sorted_trace(*columns, make_catalog(), 2)
+        assert got.columns() == columns
 
 
 class TestZipfBetaFamily:

@@ -1,10 +1,26 @@
 """Trace data model: validation, ordering, queries."""
 
+from array import array
+
 import pytest
 
 from repro import units
+from repro.core.config import SimulationConfig
+from repro.core.system import CableVoDSystem
 from repro.errors import TraceError
-from repro.trace.records import Catalog, Program, SessionRecord, Trace
+from repro.trace.records import (
+    Catalog,
+    Program,
+    SessionRecord,
+    Trace,
+    check_columns,
+)
+from repro.trace.share import (
+    SliceReader,
+    SliceWriter,
+    attach_columns,
+    attach_trace,
+)
 
 from tests.conftest import make_catalog, make_record
 
@@ -152,3 +168,149 @@ class TestTrace:
         assert trace.start_time == 0.0
         assert trace.end_time == 0.0
         assert trace.span_days == 0.0
+
+
+def _columns_of(trace):
+    return tuple(list(column) for column in trace.columns())
+
+
+class TestColumnView:
+    """A column-built trace answers from its columns; records are a view."""
+
+    @pytest.fixture
+    def pair(self, tiny_trace):
+        by_records = Trace(list(tiny_trace), tiny_trace.catalog,
+                           n_users=tiny_trace.n_users)
+        by_columns = Trace.from_columns(*_columns_of(tiny_trace),
+                                        tiny_trace.catalog,
+                                        tiny_trace.n_users)
+        return by_records, by_columns
+
+    def test_metadata_needs_no_record(self, pair, monkeypatch):
+        by_records, by_columns = pair
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(SessionRecord, "__init__", refuse)
+        assert len(by_columns) == len(by_records)
+        assert by_columns.start_time == by_records.start_time
+        assert by_columns.end_time == by_records.end_time
+        assert by_columns.span_days == by_records.span_days
+        assert (list(by_columns.sessions_per_program().items())
+                == list(by_records.sessions_per_program().items()))
+        assert (by_columns.most_popular_program()
+                == by_records.most_popular_program())
+        assert (by_columns.total_bits_delivered()
+                == by_records.total_bits_delivered())
+        assert by_columns.columns() == by_records.columns()
+        window = by_columns.restricted_to_window(3600.0, 86400.0)
+        assert window.columns() == by_records.restricted_to_window(
+            3600.0, 86400.0).columns()
+
+    def test_records_view_is_built_once_and_equal(self, pair):
+        by_records, by_columns = pair
+        view = by_columns.records
+        assert view is by_columns.records
+        assert view == by_records.records
+        assert list(by_columns) == view
+        assert by_columns[0] == view[0] and by_columns[-1] == view[-1]
+
+    def test_records_between_builds_only_the_window(self, pair, monkeypatch):
+        by_records, by_columns = pair
+        expected = by_records.records_between(3600.0, 7200.0)
+        built = []
+        real = SessionRecord.__init__
+
+        def counting(record, *args, **kwargs):
+            built.append(args)
+            real(record, *args, **kwargs)
+
+        monkeypatch.setattr(SessionRecord, "__init__", counting)
+        assert by_columns.records_between(3600.0, 7200.0) == expected
+        assert 0 < len(built) == len(expected) < len(by_columns)
+
+    def test_list_constructor_columns_match_from_columns(self, simple_trace):
+        rebuilt = Trace.from_columns(*simple_trace.columns(),
+                                     simple_trace.catalog,
+                                     simple_trace.n_users)
+        assert rebuilt.records == simple_trace.records
+        assert rebuilt.start_times == [r.start_time for r in simple_trace]
+
+
+#: (column, row, value): one damaged field per case.
+DAMAGES = [
+    pytest.param((0, 0, -1.0), id="negative-start"),
+    pytest.param((1, 3, -1), id="negative-user"),
+    pytest.param((2, 3, -1), id="negative-program"),
+    pytest.param((3, 3, 0.0), id="zero-duration"),
+    pytest.param((3, 3, -60.0), id="negative-duration"),
+]
+
+
+def _damaged(columns, damage):
+    column, row, value = damage
+    columns = [list(c) for c in columns]
+    columns[column][row] = value
+    return columns
+
+
+class TestColumnChecks:
+    """Columns carry the ``SessionRecord`` field rules, checked per column."""
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_from_columns_refuses(self, simple_trace, damage):
+        columns = _damaged(simple_trace.columns(), damage)
+        with pytest.raises(TraceError):
+            SessionRecord(*(c[damage[1]] for c in columns))
+        with pytest.raises(TraceError):
+            Trace.from_columns(*columns, simple_trace.catalog,
+                               simple_trace.n_users)
+
+    def test_duration_message_names_the_session(self, simple_trace):
+        columns = _damaged(simple_trace.columns(), (3, 3, -60.0))
+        with pytest.raises(TraceError, match=r"got -60.0 \(user 3, program 1"):
+            check_columns(*columns)
+
+    def test_leading_nan_hides_no_negative(self):
+        nan = float("nan")
+        with pytest.raises(TraceError, match="duration"):
+            check_columns([0.0, 1.0], [0, 0], [0, 0], [nan, -1.0])
+        check_columns([0.0, 1.0], [0, 0], [0, 0], [nan, 1.0])
+
+    def test_empty_columns_pass(self):
+        check_columns([], [], [], [])
+
+
+class TestDamagedSlices:
+    """A damaged slice file fails the same way on every reader and engine."""
+
+    @pytest.fixture
+    def damaged_slice(self, simple_trace, tmp_path, request):
+        columns = _damaged(simple_trace.columns(), request.param)
+        writer = SliceWriter(simple_trace.catalog, simple_trace.n_users,
+                             directory=str(tmp_path))
+        writer.write_chunk(0, 0, 0, array("d", columns[0]),
+                           array("q", columns[1]), array("q", columns[2]),
+                           array("d", columns[3]))
+        return writer.close()
+
+    @pytest.mark.parametrize("damaged_slice", DAMAGES, indirect=True)
+    def test_reader_chunks_refuse(self, damaged_slice):
+        with pytest.raises(TraceError):
+            list(SliceReader(damaged_slice).chunks())
+
+    @pytest.mark.parametrize("damaged_slice", DAMAGES, indirect=True)
+    def test_attach_trace_refuses(self, damaged_slice):
+        with pytest.raises(TraceError):
+            attach_trace(damaged_slice)
+
+    @pytest.mark.parametrize("engine", ["bucket", "columnar"])
+    @pytest.mark.parametrize("damaged_slice", DAMAGES, indirect=True)
+    def test_chunk_run_refuses(self, damaged_slice, engine):
+        with attach_columns(damaged_slice) as reader:
+            system = CableVoDSystem(
+                None, SimulationConfig(neighborhood_size=2), engine=engine,
+                catalog=reader.catalog, n_users=reader.n_users)
+            with pytest.raises(TraceError):
+                system.run(reader.chunks())

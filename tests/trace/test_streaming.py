@@ -64,7 +64,8 @@ class TestChunkShape:
     def test_records_match_columns(self, tiny_model):
         stream = open_trace_stream(tiny_model, chunk_hours=12)
         chunk = next(stream.chunks())
-        records = chunk.records()
+        records = stream.materialize().records_between(chunk.start_second,
+                                                       chunk.end_second)
         assert [r.start_time for r in records] == chunk.start_times
         assert [r.user_id for r in records] == chunk.user_ids
         assert [r.program_id for r in records] == chunk.program_ids
