@@ -230,13 +230,6 @@ class TestColumnView:
         assert by_columns.records_between(3600.0, 7200.0) == expected
         assert 0 < len(built) == len(expected) < len(by_columns)
 
-    def test_list_constructor_columns_match_from_columns(self, simple_trace):
-        rebuilt = Trace.from_columns(*simple_trace.columns(),
-                                     simple_trace.catalog,
-                                     simple_trace.n_users)
-        assert rebuilt.records == simple_trace.records
-        assert rebuilt.start_times == [r.start_time for r in simple_trace]
-
 
 #: (column, row, value): one damaged field per case.
 DAMAGES = [
