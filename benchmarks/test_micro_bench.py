@@ -13,11 +13,10 @@ from collections import deque
 from repro import units
 from repro.cache.base import StrategyContext
 from repro.cache.lfu import LFUStrategy
-from repro.cache.segments import PlacementMap
+from repro.cache.segments import PlacementMap, peer_slots
 from repro.core.config import SimulationConfig
 from repro.core.meter import HourlyMeter
 from repro.core.runner import run_simulation
-from repro.peers.settop import SetTopBox
 from repro.sim.engine import Simulator
 from repro.trace.records import Program
 from repro.trace.synthetic import PowerInfoModel, generate_trace
@@ -149,8 +148,7 @@ def test_placement_churn_throughput(benchmark):
     length = 14 * units.SEGMENT_SECONDS
 
     def run():
-        placement = PlacementMap([SetTopBox(i, storage_bytes=2e9)
-                                  for i in range(80)])
+        placement = PlacementMap([peer_slots(2e9)] * 80)
         resident = deque()
         for program_id in range(5_000):
             if len(resident) == 34:

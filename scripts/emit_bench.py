@@ -62,6 +62,7 @@ from repro.cache.index_server import IndexServer  # noqa: E402
 from repro.cache.segments import (  # noqa: E402
     PlacementMap,
     cache_footprint_bytes,
+    peer_slots,
     segment_bytes,
     usable_capacity_bytes,
 )
@@ -70,7 +71,6 @@ from repro.core.meter import HourlyMeter  # noqa: E402
 from repro.core.parallel import run_many  # noqa: E402
 from repro.core.runner import run_simulation  # noqa: E402
 from repro.core.system import columnar_supported  # noqa: E402
-from repro.peers.settop import SetTopBox  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 from repro.topology.hfc import Neighborhood  # noqa: E402
 from repro.trace.records import Catalog, Program  # noqa: E402
@@ -385,18 +385,14 @@ def cache_index_requests(n_requests: int, n_users: int = 50,
         for i in range(n_programs)
     ])
     neighborhood = Neighborhood(0, tuple(range(n_users)))
-    boxes = {
-        uid: SetTopBox(uid, storage_bytes=20 * segment_bytes())
-        for uid in neighborhood.user_ids
-    }
-    placement = PlacementMap(list(boxes.values()))
+    placement = PlacementMap([20] * n_users)
     strategy = _default_lfu()
     initial = strategy.bind(StrategyContext(
         neighborhood_id=0,
         capacity_bytes=n_users * 20 * segment_bytes(),
         footprint_of=lambda pid: cache_footprint_bytes(catalog[pid]),
     ))
-    server = IndexServer(neighborhood, boxes, strategy, placement, catalog)
+    server = IndexServer(neighborhood, strategy, placement, catalog)
     server.apply_initial_membership(initial)
     t = 0.0
     for i in range(n_requests):
@@ -413,14 +409,13 @@ def placement_churn(n_admissions: int, n_peers: int = 80,
                     storage_bytes: float = 2e9, segments: int = 14) -> None:
     """Evict-then-admit segment placement in the churn-sweep shape.
 
-    ``n_peers`` boxes of ``storage_bytes`` each (80 x 2 GB: six slots
+    ``n_peers`` peers of ``storage_bytes`` each (80 x 2 GB: six slots
     per peer) hold as many ``segments``-segment programs as fit; every
     further admission first evicts the oldest resident program.  All
     the work is :meth:`PlacementMap.place_program` and
     :meth:`PlacementMap.remove_programs`, the ``cache.placement`` layer.
     """
-    boxes = [SetTopBox(i, storage_bytes=storage_bytes) for i in range(n_peers)]
-    placement = PlacementMap(boxes)
+    placement = PlacementMap([peer_slots(storage_bytes)] * n_peers)
     fits = int(usable_capacity_bytes(storage_bytes, n_peers)
                // (segments * segment_bytes()))
     resident = deque()

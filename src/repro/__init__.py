@@ -20,9 +20,9 @@ Package map
 ``repro.sim``         discrete-event engine and seeded random streams
 ``repro.trace``       workload model: records, synthesis, scaling, stats
 ``repro.topology``    HFC plant: headends, coax neighborhoods, placement
-``repro.peers``       set-top boxes: disk budget, two-channel limit
 ``repro.cache``       the cache policy engine (LRU / LFU / Oracle /
-                      Global-LFU / GDSF / ARC / threshold), index server
+                      Global-LFU / GDSF / ARC / threshold), placement on
+                      set-top peers, index server (two-channel limit)
 ``repro.core``        the assembled system, config, metering, results
 ``repro.scenario``    declarative scenarios/sweeps: one serializable
                       schema for traces, configs, and config grids

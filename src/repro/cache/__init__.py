@@ -36,11 +36,12 @@ policy engine:
   Entries left behind by a level change are skipped (moved to the
   peer's current level) when they reach a front, and count again if
   the peer returns.  A placement that does not fit fails before it
-  touches any peer.  The map is the only storage ledger: it keeps each
-  peer's ``used_bytes`` at one segment per assigned slot, and boxes
-  keep no per-program record.
+  touches any peer.  Peers are dense indices with a slot count each;
+  the map is the only storage ledger, and a peer's bytes in use are
+  derived from its free slots.
 * :mod:`repro.cache.index_server` -- the per-headend orchestrator that
-  routes requests, fills segments from broadcasts, and applies
+  routes requests, fills segments from broadcasts, keeps each peer's
+  channel leases (the paper's two-channel limit), and applies
   membership changes to physical placement one batched decision at a
   time.
 * :mod:`repro.cache.factory` -- config-level strategy specifications

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Set
+from typing import Callable, FrozenSet, List, Sequence, Set
 
 from repro.errors import CacheError
 
@@ -59,8 +59,8 @@ class MembershipChange:
     the bytes free).
     """
 
-    admitted: List[int] = field(default_factory=list)
-    evicted: List[int] = field(default_factory=list)
+    admitted: Sequence[int] = field(default_factory=list)
+    evicted: Sequence[int] = field(default_factory=list)
 
     @property
     def empty(self) -> bool:
@@ -69,6 +69,12 @@ class MembershipChange:
 
     def __bool__(self) -> bool:
         return not self.empty
+
+
+#: What an access that changes nothing returns: one shared instance, so
+#: a no-op session start allocates nothing.  Its fields are tuples, so a
+#: caller that tries to append to it fails loudly.
+NO_CHANGE = MembershipChange(admitted=(), evicted=())
 
 
 class CacheStrategy(ABC):
@@ -114,7 +120,7 @@ class CacheStrategy(ABC):
 
     def _on_bind(self) -> MembershipChange:
         """Hook for subclasses; default does nothing."""
-        return MembershipChange()
+        return NO_CHANGE
 
     @property
     def context(self) -> StrategyContext:

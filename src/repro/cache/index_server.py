@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro import units
 from repro.cache.base import CacheStrategy, MembershipChange
 from repro.cache.segments import PlacementMap
-from repro.errors import CacheError, PlacementError
-from repro.peers.settop import SetTopBox
+from repro.errors import CacheError, CapacityError, PlacementError
 from repro.topology.hfc import Neighborhood
 from repro.trace.records import Catalog
 
@@ -51,7 +50,8 @@ class DeliveryOutcome:
     filled:
         A peer captured this broadcast, adding the segment to the cache.
     serving_box:
-        Peer that served a hit (``None`` for server deliveries).
+        User id of the peer that served a hit (``None`` for server
+        deliveries).
     """
 
     __slots__ = ("source", "busy_miss", "filled", "serving_box")
@@ -152,54 +152,74 @@ class IndexServerStats:
 class IndexServer:
     """Per-neighborhood cache orchestrator.
 
+    The server owns the neighborhood's peers as plain columns: peer
+    ``i`` is subscriber ``neighborhood.user_ids[i]`` (the placement
+    map's peer index), and the paper's two-channel limit (section V-C)
+    is one list of lease end-times per peer.  Leases are swept lazily,
+    against the clock of the request that needs a channel -- exact,
+    because occupancy matters only at that instant -- so no release
+    event is ever scheduled.
+
     Parameters
     ----------
     neighborhood:
         The coax segment this server manages.
-    boxes:
-        ``user_id -> SetTopBox`` for every subscriber in the neighborhood.
     strategy:
         The (already bound) membership policy.
     placement:
-        The physical placement map over the same boxes.
+        The physical placement map over the neighborhood's peers, one
+        per subscriber in ``neighborhood.user_ids`` order.
     catalog:
         Program metadata (lengths drive segment counts).
+    max_streams:
+        Concurrent channels per peer (default 2, per the paper).
     """
 
-    __slots__ = ("neighborhood", "_boxes", "_strategy", "_placement",
-                 "_catalog", "_stored", "_segment_counts", "_lengths",
-                 "stats")
+    __slots__ = ("neighborhood", "_strategy", "_placement", "_catalog",
+                 "_stored", "_segment_counts", "_lengths", "_max_streams",
+                 "_leases", "_peer_user", "_user_leases", "stats")
 
     def __init__(
         self,
         neighborhood: Neighborhood,
-        boxes: Dict[int, SetTopBox],
         strategy: CacheStrategy,
         placement: PlacementMap,
         catalog: Catalog,
+        max_streams: int = units.MAX_STREAMS_PER_PEER,
     ) -> None:
-        missing = set(neighborhood.user_ids) - set(boxes)
-        if missing:
+        user_ids = neighborhood.user_ids
+        if placement.n_peers != len(user_ids):
             raise CacheError(
-                f"neighborhood {neighborhood.neighborhood_id}: no box for "
-                f"users {sorted(missing)[:5]}..."
+                f"neighborhood {neighborhood.neighborhood_id}: placement "
+                f"has {placement.n_peers} peers for {len(user_ids)} users"
             )
+        if max_streams < 1:
+            raise CapacityError(
+                f"max_streams must be at least 1, got {max_streams}")
         self.neighborhood = neighborhood
-        self._boxes = boxes
         self._strategy = strategy
         self._placement = placement
         self._catalog = catalog
-        #: program_id -> (holder per segment, captured flag per segment)
+        #: program_id -> (peer per segment, captured flag per segment)
         #: for every placed program.  Membership <=> placement: every
         #: membership change goes through ``_apply_change``, which adds
         #: an entry per placed admission and pops one per eviction, and a
         #: failed placement is force-evicted with no entry.
-        self._stored: Dict[int, Tuple[Tuple[SetTopBox, ...], bytearray]] = {}
+        self._stored: Dict[int, Tuple[Tuple[int, ...], bytearray]] = {}
         #: Per-program segment counts and lengths: the catalog's shared
         #: tables, built once per catalog, not per neighborhood or (a
         #: ``Program.num_segments`` divmod) per delivery.
         self._segment_counts: List[int] = catalog.segment_counts
         self._lengths: List[float] = catalog.lengths
+        self._max_streams = int(max_streams)
+        #: Per peer: end times of its leased channels, the viewer's own
+        #: playback stream included.
+        self._leases: List[List[float]] = [[] for _ in user_ids]
+        #: Per peer: its subscriber's user id.
+        self._peer_user: Tuple[int, ...] = user_ids
+        #: user id -> that subscriber's lease list.
+        self._user_leases: Dict[int, List[float]] = dict(
+            zip(user_ids, self._leases))
         self.stats = IndexServerStats()
 
     @property
@@ -207,15 +227,21 @@ class IndexServer:
         """The membership policy this server consults."""
         return self._strategy
 
-    def box_of(self, user_id: int) -> SetTopBox:
-        """The requesting subscriber's own set-top box."""
-        box = self._boxes.get(user_id)
-        if box is None:
+    def playback_leases(self, user_id: int) -> List[float]:
+        """The lease-end list of ``user_id``'s own peer.
+
+        The viewer's playback stream is appended here unchecked: the
+        index server never denies a subscriber their own session, but
+        the lease still holds one of the peer's channels against
+        serving and fills.
+        """
+        leases = self._user_leases.get(user_id)
+        if leases is None:
             raise CacheError(
                 f"user {user_id} is not in neighborhood "
                 f"{self.neighborhood.neighborhood_id}"
             )
-        return box
+        return leases
 
     # ------------------------------------------------------------------
     # Session plumbing
@@ -225,7 +251,8 @@ class IndexServer:
         """Feed the popularity model and apply any membership changes."""
         self.stats.sessions += 1
         change = self._strategy.on_access(now, program_id)
-        self._apply_change(change)
+        if change.admitted or change.evicted:
+            self._apply_change(change)
 
     def apply_initial_membership(self, change: MembershipChange) -> None:
         """Apply a strategy's bind-time membership (oracle pre-warm)."""
@@ -241,8 +268,6 @@ class IndexServer:
         a multi-victim LFU admission or an oracle recompute used to pay
         the full per-program call chain for every delta.
         """
-        if change.empty:
-            return
         evicted = change.evicted
         if evicted:
             self._placement.remove_programs(evicted)
@@ -295,7 +320,8 @@ class IndexServer:
         if code >= CODE_BUSY:
             return _SERVER_OUTCOMES[code - CODE_BUSY]
         holder = self._stored[program_id][0][segment_index]
-        return DeliveryOutcome(SOURCE_OF_CODE[code], serving_box=holder.box_id)
+        return DeliveryOutcome(SOURCE_OF_CODE[code],
+                               serving_box=self._peer_user[holder])
 
     def request_segment_code(
         self,
@@ -327,31 +353,48 @@ class IndexServer:
             # Not placed, so not a member: nothing can hit or fill.
             return CODE_MISS
         assignment, captured = entry
+        peer = assignment[segment_index]
         if captured[segment_index]:
-            holder = assignment[segment_index]
-            if holder.box_id == user_id:
+            if self._peer_user[peer] == user_id:
                 # The viewer's own disk: no broadcast, no channel use.
                 return CODE_LOCAL
-            if holder.try_open_stream(now, watch_seconds):
-                return CODE_PEER
-            # Holder saturated: the paper's rule is that this *is* a miss.
-            return CODE_BUSY
-
-        # Inlined segment_play_seconds(): every segment holds a full
-        # SEGMENT_SECONDS except the last, which holds the remainder --
-        # same floats, minus a catalog lookup and divmod per delivery.
-        if segment_index < self._segment_counts[program_id] - 1:
-            play_seconds = units.SEGMENT_SECONDS
+            # A saturated holder: the paper's rule is that this *is* a miss.
+            granted, refused = CODE_PEER, CODE_BUSY
         else:
-            play_seconds = (self._lengths[program_id]
-                            - segment_index * units.SEGMENT_SECONDS)
-        if watch_seconds + 1e-9 < play_seconds:
-            return CODE_MISS_FILL_SKIP
-        box = assignment[segment_index]
-        if not box.try_open_stream(now, watch_seconds):
-            return CODE_MISS_FILL_SKIP
+            # Inlined segment_play_seconds(): every segment holds a full
+            # SEGMENT_SECONDS except the last, which holds the remainder
+            # -- same floats, minus a catalog lookup and divmod per
+            # delivery.
+            if segment_index < self._segment_counts[program_id] - 1:
+                play_seconds = units.SEGMENT_SECONDS
+            else:
+                play_seconds = (self._lengths[program_id]
+                                - segment_index * units.SEGMENT_SECONDS)
+            if watch_seconds + 1e-9 < play_seconds:
+                return CODE_MISS_FILL_SKIP
+            granted, refused = CODE_MISS_FILLED, CODE_MISS_FILL_SKIP
+        if watch_seconds <= 0:
+            raise CapacityError(
+                f"peer {self._peer_user[peer]}: stream duration must be "
+                f"positive, got {watch_seconds}"
+            )
+        # The holder needs a free channel.  The lease list never holds
+        # more than the channel limit plus the viewer's own stream, so
+        # an in-place sweep of expired leases beats rebuilding it.
+        leases = self._leases[peer]
+        if leases:
+            kept = 0
+            for end in leases:
+                if end > now:
+                    leases[kept] = end
+                    kept += 1
+            if kept != len(leases):
+                del leases[kept:]
+            if kept >= self._max_streams:
+                return refused
+        leases.append(now + watch_seconds)
         captured[segment_index] = 1
-        return CODE_MISS_FILLED
+        return granted
 
     # ------------------------------------------------------------------
     # Introspection

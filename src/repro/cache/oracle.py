@@ -27,7 +27,7 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import units
-from repro.cache.base import CacheStrategy, MembershipChange
+from repro.cache.base import NO_CHANGE, CacheStrategy, MembershipChange
 from repro.errors import ConfigurationError
 
 
@@ -175,4 +175,4 @@ class OracleStrategy(CacheStrategy):
     def on_access(self, now: float, program_id: int) -> MembershipChange:
         if now >= self._next_recompute:
             return self._recompute(now)
-        return MembershipChange()
+        return NO_CHANGE

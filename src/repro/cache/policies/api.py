@@ -28,7 +28,9 @@ Engine contract, in order, for one ``on_access(now, program_id)``:
   to reject the admission with **no observable side effects**;
 * victims are evicted (``on_evict`` per victim) strictly before the
   newcomer is admitted (``on_admit``) -- the index server relies on
-  that ordering to have the bytes free.
+  that ordering to have the bytes free;
+* an access that admits nothing returns the shared, immutable
+  :data:`~repro.cache.base.NO_CHANGE`, so it allocates no delta.
 
 Every policy sees the engine itself (as a :class:`PolicyHost`) at
 ``bind`` time, giving it read access to membership, byte accounting and
@@ -40,7 +42,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
-from repro.cache.base import CacheStrategy, MembershipChange
+from repro.cache.base import NO_CHANGE, CacheStrategy, MembershipChange
 
 
 class AdmissionPolicy(ABC):
@@ -146,7 +148,7 @@ class PolicyStrategy(CacheStrategy):
     def _on_bind(self) -> MembershipChange:
         self._admission.bind(self)
         self._eviction.bind(self)
-        return MembershipChange()
+        return NO_CHANGE
 
     def on_access(self, now: float, program_id: int) -> MembershipChange:
         observe = self._admission_observe
@@ -155,34 +157,33 @@ class PolicyStrategy(CacheStrategy):
         observe = self._eviction_observe
         if observe is not None:
             observe(now, program_id)
-        change = MembershipChange()
         if program_id in self._members:
             self._eviction.touch(now, program_id)
-            return change
+            return NO_CHANGE
 
         context = self._context
         if context is None:
             context = self.context  # raises CacheError naming the policy
         footprint = context.footprint_of(program_id)
         if footprint > context.capacity_bytes:
-            return change
+            return NO_CHANGE
         if (self._admission_vetoes
                 and not self._admission.should_admit(now, program_id)):
-            return change
+            return NO_CHANGE
 
+        evicted: List[int] = []
         need = footprint - (context.capacity_bytes - self._used_bytes)
         if need > 0:
             victims = self._eviction.plan(now, program_id, need)
             if victims is None:
-                return change
+                return NO_CHANGE
             for victim_id in victims:
                 self._evict(victim_id)
                 self._eviction.on_evict(victim_id)
-                change.evicted.append(victim_id)
+                evicted.append(victim_id)
         self._admit(program_id)
         self._eviction.on_admit(now, program_id)
-        change.admitted.append(program_id)
-        return change
+        return MembershipChange(admitted=[program_id], evicted=evicted)
 
     def _on_force_evict(self, program_id: int) -> None:
         self._eviction.on_evict(program_id)

@@ -29,7 +29,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.errors import CapacityError, PlacementError
-from repro.peers.settop import SetTopBox
 from repro.trace.records import Program
 
 
@@ -37,6 +36,23 @@ def segment_bytes(rate_bps: float = units.STREAM_RATE_BPS,
                   segment_seconds: float = units.SEGMENT_SECONDS) -> float:
     """Storage footprint of one full segment."""
     return rate_bps * segment_seconds / units.BITS_PER_BYTE
+
+
+def peer_slots(storage_bytes: float) -> int:
+    """Whole segments a peer contributing ``storage_bytes`` holds.
+
+    With a 1e-6 byte tolerance, so a disk sized in segments holds that
+    many.
+
+    Raises
+    ------
+    CapacityError
+        If ``storage_bytes`` is negative.
+    """
+    if storage_bytes < 0:
+        raise CapacityError(
+            f"peer storage must be non-negative, got {storage_bytes}")
+    return int((storage_bytes + 1e-6) // segment_bytes())
 
 
 def cache_footprint_bytes(program: Program) -> float:
@@ -83,19 +99,20 @@ class PlacementMap:
     have actually been captured off a broadcast yet is tracked separately
     by the index server; this map is purely *where they belong*.
 
-    The map is the only storage ledger: it owns its boxes' storage and
-    keeps each box's :attr:`~repro.peers.settop.SetTopBox.used_bytes`
-    at one :func:`segment_bytes` per assigned slot.  It counts each
-    box's free whole-segment slots -- its *level* -- and files the box
-    in one FIFO per level.  Each segment goes to the box at the front
-    of the highest non-empty level, which then drops one level and joins
-    the back of that queue; a release appends the box at the back of the
-    level it rises to.  (For peers with equal disks, as the simulator
-    builds them, more free slots is more free bytes.)
+    Peers are dense indices ``0 .. len(slot_counts) - 1`` (the index
+    server's order: its neighborhood's ``user_ids``), and
+    ``slot_counts[peer]`` is the whole segments that peer's disk holds
+    (:func:`peer_slots`).  The map is the only storage ledger: it keeps
+    one list of free slots per peer, and a peer's bytes in use are
+    derived from it (:meth:`used_bytes`).  The free count is also the
+    peer's *level*, and the map files each peer in one FIFO per level.
+    Each segment goes to the peer at the front of the highest non-empty
+    level, which then drops one level and joins the back of that queue;
+    a release appends the peer at the back of the level it rises to.
 
     Queue entries are never withdrawn.  An entry whose level no longer
-    matches its box is stale: when it reaches a front it moves to the
-    back of the box's current level.  An old entry whose box has
+    matches its peer is stale: when it reaches a front it moves to the
+    back of the peer's current level.  An old entry whose peer has
     returned to its level is valid again and keeps its place.  Within a
     level, queue order is insertion order, so every choice is the one a
     heap keyed by ``(-free slots, insertion counter)`` with lazy
@@ -103,35 +120,55 @@ class PlacementMap:
     ``tests/cache/placement_golden.json`` pin this order.
     """
 
-    __slots__ = ("_free", "_total_free", "_levels", "_top", "_assignments")
+    __slots__ = ("_capacity", "_free", "_total_free", "_levels", "_top",
+                 "_assignments")
 
-    def __init__(self, boxes: Sequence[SetTopBox]) -> None:
-        if not boxes:
+    def __init__(self, slot_counts: Sequence[int]) -> None:
+        if not slot_counts:
             raise PlacementError("placement requires at least one peer")
-        per_segment = segment_bytes()
-        #: Per box: free whole-segment slots, which is also its level
-        #: (with a 1e-6 byte tolerance for disks sized in segments).
-        self._free: Dict[SetTopBox, int] = {
-            box: int((box.free_bytes + 1e-6) // per_segment) for box in boxes
-        }
-        self._total_free = sum(self._free.values())
+        if min(slot_counts) < 0:
+            raise CapacityError(
+                f"peer slot counts must be non-negative, got {min(slot_counts)}")
+        self._capacity: Tuple[int, ...] = tuple(slot_counts)
+        #: Per peer: free whole-segment slots, which is also its level.
+        self._free: List[int] = list(slot_counts)
+        self._total_free = sum(self._free)
         #: Highest level that may be non-empty; every level above is empty.
-        self._top = max(self._free.values())
-        #: One FIFO of boxes per level.
-        self._levels: List[Deque[SetTopBox]] = [
+        self._top = max(self._free)
+        #: One FIFO of peers per level.
+        self._levels: List[Deque[int]] = [
             deque() for _ in range(self._top + 1)
         ]
-        for box in boxes:
-            self._levels[self._free[box]].append(box)
-        #: program_id -> tuple of boxes, one per segment index.
-        self._assignments: Dict[int, Tuple[SetTopBox, ...]] = {}
+        for peer, level in enumerate(self._free):
+            self._levels[level].append(peer)
+        #: program_id -> tuple of peers, one per segment index.
+        self._assignments: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def placed_programs(self) -> int:
         """Number of programs currently placed."""
         return len(self._assignments)
 
-    def holder_of(self, program_id: int, segment_index: int) -> SetTopBox:
+    @property
+    def n_peers(self) -> int:
+        """Number of peers the map places on."""
+        return len(self._free)
+
+    @property
+    def free_slots(self) -> int:
+        """Free whole-segment slots over every peer."""
+        return self._total_free
+
+    def used_bytes(self, peer: int) -> float:
+        """Disk bytes holding cached segments on ``peer``.
+
+        One :func:`segment_bytes` per assigned slot.  The product is
+        exact: ``segment_bytes()`` is an integer-valued float, so it
+        equals the sum of one charge per slot.
+        """
+        return (self._capacity[peer] - self._free[peer]) * segment_bytes()
+
+    def holder_of(self, program_id: int, segment_index: int) -> int:
         """The peer assigned segment ``segment_index`` of ``program_id``.
 
         Raises
@@ -153,7 +190,7 @@ class PlacementMap:
         """Whether ``program_id`` currently has a placement."""
         return program_id in self._assignments
 
-    def holders(self, program_id: int) -> Optional[Tuple[SetTopBox, ...]]:
+    def holders(self, program_id: int) -> Optional[Tuple[int, ...]]:
         """Per-segment peer assignment tuple, or ``None`` if not placed.
 
         The tuple :meth:`place_program` returned; index servers keep it
@@ -162,12 +199,11 @@ class PlacementMap:
         return self._assignments.get(program_id)
 
     def place_program(self, program: Program,
-                      num_segments: Optional[int] = None) -> Tuple[SetTopBox, ...]:
+                      num_segments: Optional[int] = None) -> Tuple[int, ...]:
         """Assign every segment of ``program`` to a least-loaded peer.
 
         All-or-nothing: either every segment is reserved or the placement
-        fails with no side effects.  Each chosen box is charged one
-        :func:`segment_bytes` as it takes a slot.  ``num_segments`` is
+        fails with no side effects.  ``num_segments`` is
         ``program.num_segments``, passed by callers that already hold it
         (the index server reads it from the catalog's table).
 
@@ -179,7 +215,7 @@ class PlacementMap:
             membership capacity accounting disagrees with physical
             capacity -- a caller bug).
         CapacityError
-            If the map counts more free slots than its boxes have.
+            If the map counts more free slots than its peers have.
         """
         program_id = program.program_id
         if program_id in self._assignments:
@@ -193,29 +229,27 @@ class PlacementMap:
         levels = self._levels
         free = self._free
         top = self._top
-        per_segment = segment_bytes()
-        chosen: List[SetTopBox] = []
+        chosen: List[int] = []
         for _ in range(needed):
             # Walk down past empty levels; the slot check above means a
-            # box with a free slot still has a valid entry below.
+            # peer with a free slot still has a valid entry below.
             queue = levels[top]
             while True:
                 if not queue:
                     top -= 1
                     if top <= 0:
                         raise CapacityError(f"program {program_id}: the map "
-                                            "counts slots no box has free")
+                                            "counts slots no peer has free")
                     queue = levels[top]
                     continue
-                box = queue.popleft()
-                level = free[box]
+                peer = queue.popleft()
+                level = free[peer]
                 if level == top:
                     break
-                levels[level].append(box)  # stale: re-queue where it is
-            free[box] = level - 1
-            levels[level - 1].append(box)
-            box.used_bytes += per_segment
-            chosen.append(box)
+                levels[level].append(peer)  # stale: re-queue where it is
+            free[peer] = level - 1
+            levels[level - 1].append(peer)
+            chosen.append(peer)
         self._top = top
         self._total_free -= needed
         assignment = tuple(chosen)
@@ -234,41 +268,39 @@ class PlacementMap:
         """Release a whole decision's evictions in one batched call.
 
         Performs exactly the per-program releases of
-        :meth:`remove_program` in order -- each box rejoins the back of
+        :meth:`remove_program` in order -- each peer rejoins the back of
         its new level in the order it first appeared in the program's
         assignment, so placement ties, and therefore every downstream
         delivery, are bit-identical to the serial calls.  Multi-victim
         admissions and oracle recomputes hit this with dozens of
-        programs per decision.  A release that would drive a box's
-        ``used_bytes`` below zero raises :class:`CapacityError`.
+        programs per decision.  A release that would lift a peer above
+        its slot count raises :class:`CapacityError`.
         """
         assignments = self._assignments
         levels = self._levels
         free = self._free
+        capacity = self._capacity
         top = self._top
-        per_segment = segment_bytes()
         released = 0
         for program_id in program_ids:
             assignment = assignments.pop(program_id, None)
             if assignment is None:
                 continue
             released += len(assignment)
-            # Distinct boxes take one slot each.  Otherwise Counter keeps
-            # first-appearance order, so boxes rejoin their levels in
+            # Distinct peers take one slot each.  Otherwise Counter keeps
+            # first-appearance order, so peers rejoin their levels in
             # assignment order on every run.
-            box_slots: Iterable[Tuple[SetTopBox, int]] = (
+            releases: Iterable[Tuple[int, int]] = (
                 zip(assignment, repeat(1))
                 if len(set(assignment)) == len(assignment)
                 else Counter(assignment).items())
-            for box, slots in box_slots:
-                used = box.used_bytes - slots * per_segment
-                if used < 0:
-                    raise CapacityError(f"box {box.box_id}: negative used "
-                                        f"bytes releasing {program_id}")
-                box.used_bytes = used
-                level = free[box] + slots
-                free[box] = level
-                levels[level].append(box)
+            for peer, slots in releases:
+                level = free[peer] + slots
+                if level > capacity[peer]:
+                    raise CapacityError(f"peer {peer}: more free slots than "
+                                        f"its disk releasing {program_id}")
+                free[peer] = level
+                levels[level].append(peer)
                 if level > top:
                     top = level
         self._top = top

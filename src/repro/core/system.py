@@ -1,9 +1,10 @@
 """The assembled cable VoD system and its event processes.
 
 :class:`CableVoDSystem` builds the full stack for one simulator
-execution -- topology, set-top peers, per-headend index servers bound to
-their caching strategies, and the central media server -- then replays a
-trace through it:
+execution -- topology, per-headend index servers bound to their caching
+strategies (each owning its neighborhood's set-top peers as slot and
+lease columns), and the central media server -- then replays a trace
+through it:
 
 * each trace session becomes a *session start* event, fired straight
   from the trace's columns;
@@ -30,12 +31,16 @@ from repro.cache.factory import BuildInputs
 from repro.errors import SimulationError
 from repro.cache import index_server as idx
 from repro.cache.index_server import IndexServer
-from repro.cache.segments import PlacementMap, segment_bytes, usable_capacity_bytes
+from repro.cache.segments import (
+    PlacementMap,
+    peer_slots,
+    segment_bytes,
+    usable_capacity_bytes,
+)
 from repro.core.config import SimulationConfig
 from repro.core.media_server import MediaServer
 from repro.core.meter import HourlyMeter, accumulate_rows, expand_intervals
 from repro.core.results import SimulationCounters, SimulationResult
-from repro.peers.settop import SetTopBox
 from repro.sim.engine import Simulator
 from repro.topology.placement import shared_plant
 from repro.trace.records import Trace, TraceChunk
@@ -78,6 +83,10 @@ class CableVoDSystem:
 
     Build once, :meth:`run` once.  For parameter sweeps construct a new
     system per configuration; construction is cheap relative to the run.
+    No per-subscriber object is built: each selected neighborhood gets
+    one :class:`~repro.cache.segments.PlacementMap` over its peers'
+    slot counts and one :class:`IndexServer` holding their channel
+    leases.
     """
 
     def __init__(self, trace: Optional[Trace], config: SimulationConfig,
@@ -163,18 +172,10 @@ class CableVoDSystem:
 
         from repro.cache.base import StrategyContext  # local to avoid cycle
 
-        self._boxes: List[Dict[int, SetTopBox]] = []
+        slots = peer_slots(config.per_peer_storage_bytes)
         self._servers: List[IndexServer] = []
         for neighborhood, strategy in zip(selected, built.strategies):
-            boxes = {
-                user_id: SetTopBox(
-                    box_id=user_id,
-                    storage_bytes=config.per_peer_storage_bytes,
-                    max_streams=config.max_streams_per_peer,
-                )
-                for user_id in neighborhood.user_ids
-            }
-            placement = PlacementMap(list(boxes.values()))
+            placement = PlacementMap([slots] * neighborhood.size)
             context = StrategyContext(
                 neighborhood_id=neighborhood.neighborhood_id,
                 capacity_bytes=usable_capacity_bytes(
@@ -183,9 +184,9 @@ class CableVoDSystem:
                 footprint_of=lambda pid, _f=footprints: _f[pid],
             )
             initial = strategy.bind(context)
-            server = IndexServer(neighborhood, boxes, strategy, placement, catalog)
+            server = IndexServer(neighborhood, strategy, placement, catalog,
+                                 config.max_streams_per_peer)
             server.apply_initial_membership(initial)
-            self._boxes.append(boxes)
             self._servers.append(server)
 
         self._media_server = MediaServer()
@@ -294,9 +295,10 @@ class CableVoDSystem:
         if self._feed is not None:
             self._feed.record(now, program_id, neighborhood_id)
         server.on_session_start(now, user_id, program_id)
-        # The viewer's own box holds one channel for the playback stream;
-        # the index server never denies a subscriber their own session.
-        server.box_of(user_id).open_stream(now, duration, enforce_limit=False)
+        # The viewer's own peer holds one channel for the playback
+        # stream; the index server never denies a subscriber their own
+        # session.
+        server.playback_leases(user_id).append(now + duration)
         watch = end - now
         if watch > units.SEGMENT_SECONDS:
             watch = units.SEGMENT_SECONDS
@@ -610,9 +612,9 @@ class CableVoDSystem:
         session_starts = [s.on_session_start for s in self._servers]
         request_code = [s.request_segment_code for s in self._servers]
         lease_of_user = [None] * len(self._user_neighborhood)
-        for boxes in self._boxes:
-            for user_id, box in boxes.items():
-                lease_of_user[user_id] = box.grant_playback_lease
+        for server in self._servers:
+            for user_id in server.neighborhood.user_ids:
+                lease_of_user[user_id] = server.playback_leases(user_id).append
         feed = self._feed
         events = 0
         end_time = 0.0

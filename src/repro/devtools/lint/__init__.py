@@ -9,8 +9,8 @@ named contract:
 ========  ==========================================================
 W-DET     no wall-clock reads or unseeded randomness in sim code
 W-GATE    numpy imports stay lazy/guarded outside gated backends
-W-SLOTS   hot-path classes (sim/, cache/, peers/, core/meter.py)
-          declare ``__slots__``
+W-SLOTS   hot-path classes (sim/, cache/, core/meter.py) declare
+          ``__slots__``
 W-ORDER   set/.keys() iteration passes through ``sorted()``
 W-REG     registered specs round-trip and stay parametrized in the
           equivalence suites

@@ -34,7 +34,7 @@ RULES: Dict[str, str] = {
               "RNG must flow through sim.random_streams.derive_seed"),
     "W-GATE": ("module-level numpy import outside the gated backend "
                "modules; the python-only leg must import every module"),
-    "W-SLOTS": ("class in a hot-path module (sim/, cache/, peers/, "
+    "W-SLOTS": ("class in a hot-path module (sim/, cache/, "
                 "core/meter.py) without __slots__"),
     "W-ORDER": ("iteration over a set/.keys() view without sorted(); "
                 "nondeterministic order is a bit-identity hazard"),

@@ -30,7 +30,7 @@ from repro.devtools.lint.core import Finding, ModuleUnit, checker
 
 #: Directory prefixes / exact files whose classes live on the replay
 #: hot path, relative to the linted tree root.
-_HOT_PREFIXES = ("sim/", "cache/", "peers/")
+_HOT_PREFIXES = ("sim/", "cache/")
 _HOT_FILES = frozenset({"core/meter.py"})
 
 _LAYOUT_OWNING_BASES = frozenset({

@@ -199,6 +199,56 @@ def check_columns(
         )
 
 
+def check_references(
+    user_ids: Sequence[int],
+    program_ids: Sequence[int],
+    durations: Sequence[float],
+    n_users: int,
+    duration_limits: Sequence[float],
+) -> None:
+    """Refuse session columns that reference what the trace lacks.
+
+    Every user id must be below ``n_users``, every program id below
+    ``len(duration_limits)`` (the catalog size), and every duration at
+    most its program's limit: length + 1 s, the list constructor's
+    rule.  Each is one C-level scan over the columns.  Run it after
+    :func:`check_columns`, which rules out negative ids.
+
+    Raises
+    ------
+    TraceError
+        Naming the first offending reference.
+    """
+    if not len(user_ids):
+        return
+    _check_ids(user_ids, program_ids, n_users, len(duration_limits))
+    if any(map(operator.gt, durations,
+               map(duration_limits.__getitem__, program_ids))):
+        row = next(i for i, (duration, program_id)
+                   in enumerate(zip(durations, program_ids))
+                   if duration > duration_limits[program_id])
+        raise TraceError(
+            f"session duration {durations[row]:.1f}s exceeds program "
+            f"{program_ids[row]} length by more than 1 s "
+            f"(user {user_ids[row]})"
+        )
+
+
+def _check_ids(user_ids: Sequence[int], program_ids: Sequence[int],
+               n_users: int, n_programs: int) -> None:
+    """Refuse a non-empty column pair naming a user or program out of range."""
+    top = max(user_ids)
+    if top >= n_users:
+        raise TraceError(
+            f"declared n_users={n_users} but a record references user {top}")
+    top = max(program_ids)
+    if top >= n_programs:
+        raise TraceError(
+            f"a record references program {top} but the catalog has "
+            f"{n_programs} programs"
+        )
+
+
 def _lowest(column: Sequence[float]) -> float:
     """``min(column)``, NaN-proof: a leading NaN would win the C scan."""
     low = min(column)
@@ -308,16 +358,7 @@ class Trace:
             # can be tens of millions of entries in a pool worker.
             if not all(map(operator.le, starts, islice(starts, 1, None))):
                 raise TraceError("from_columns requires start-sorted columns")
-            if max(users) >= n_users:
-                raise TraceError(
-                    f"declared n_users={n_users} but a record references "
-                    f"user {max(users)}"
-                )
-            if max(programs) >= len(catalog):
-                raise TraceError(
-                    f"a record references program {max(programs)} but the "
-                    f"catalog has {len(catalog)} programs"
-                )
+            _check_ids(users, programs, n_users, len(catalog))
         trace = cls.__new__(cls)
         trace._catalog = catalog
         trace._n_users = n_users

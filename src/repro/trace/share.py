@@ -47,6 +47,7 @@ from repro.trace.records import (
     Trace,
     TraceChunk,
     check_columns,
+    check_references,
 )
 
 _MAGIC = b"REPROSL1"
@@ -153,6 +154,8 @@ class SliceReader:
                 for i, (length, at) in enumerate(zip(lengths, introduced))
             ])
             self.n_users: int = n_users
+            #: Per program: the longest session it may hold (length + 1 s).
+            self._duration_limits = [length + 1.0 for length in lengths]
         except BaseException:
             self._file.close()
             raise
@@ -166,8 +169,10 @@ class SliceReader:
         """Yield every chunk in file order, then close the file.
 
         Each chunk's columns pass :func:`~repro.trace.records.check_columns`
-        first, so a damaged slice raises :class:`~repro.errors.TraceError`
-        on every engine before any of its sessions replays.
+        and :func:`~repro.trace.records.check_references` (ids in range,
+        durations within their programs) first, so a damaged slice
+        raises :class:`~repro.errors.TraceError` on every engine before
+        any of its sessions replays.
         """
         with self._file:
             for _ in range(self._handle.n_chunks):
@@ -175,6 +180,8 @@ class SliceReader:
                 columns = (self._column("d", n), self._column("q", n),
                            self._column("q", n), self._column("d", n))
                 check_columns(*columns)
+                check_references(columns[1], columns[2], columns[3],
+                                 self.n_users, self._duration_limits)
                 yield TraceChunk(index, h0, h1, *columns)
 
     def materialize(self) -> Trace:

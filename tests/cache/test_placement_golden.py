@@ -3,10 +3,11 @@
 Every simulated delivery depends on where :class:`PlacementMap` puts
 each segment, so its tie order is pinned here independently of the
 simulator.  Each case drives one map through a seeded sequence of
-placements and batched removals, and hashes the box ids of every
-assignment plus every box's ``used_bytes`` (as ``float.hex``) after
-every operation.  The sequences never ask for more segments than the
-boxes have free, so they exercise only successful placements.
+placements and batched removals, and hashes the peer ids (100 + peer
+index) of every assignment plus every peer's ``used_bytes`` (as
+``float.hex``) after every operation.  The sequences never ask for more
+segments than the peers have free, so they exercise only successful
+placements.
 
 Re-pin after an intended placement change with::
 
@@ -23,8 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache.segments import PlacementMap, segment_bytes
-from repro.peers.settop import SetTopBox
+from repro.cache.segments import PlacementMap, peer_slots, segment_bytes
 from repro.trace.records import Program
 
 GOLDEN_PATH = Path(__file__).with_name("placement_golden.json")
@@ -40,27 +40,22 @@ SEEDS = (1, 2, 3, 4)
 OPS = 400
 
 
-def _free_slots(boxes):
-    seg = segment_bytes()
-    return sum(int((box.free_bytes + 1e-6) // seg) for box in boxes)
-
-
 def run_sequence(storage_bytes: float, seed: int) -> str:
     """Drive one seeded sequence; return its sha256 hex digest."""
     rng = random.Random(seed)
-    boxes = [SetTopBox(100 + i, storage_bytes=storage_bytes)
-             for i in range(rng.randint(3, 24))]
-    placement = PlacementMap(boxes)
-    max_segments = max(1, min(24, _free_slots(boxes)))
+    n_peers = rng.randint(3, 24)
+    placement = PlacementMap([peer_slots(storage_bytes)] * n_peers)
+    max_segments = max(1, min(24, placement.free_slots))
     placed = []
     sizes = {}
     next_id = 0
     digest = hashlib.sha256()
 
-    def record(tag, box_ids=()):
+    def record(tag, peer_ids=()):
         digest.update(tag.encode())
-        digest.update(",".join(map(str, box_ids)).encode())
-        digest.update("|".join(box.used_bytes.hex() for box in boxes).encode())
+        digest.update(",".join(map(str, peer_ids)).encode())
+        digest.update("|".join(placement.used_bytes(peer).hex()
+                               for peer in range(n_peers)).encode())
         digest.update(b";")
 
     for _ in range(OPS):
@@ -77,7 +72,7 @@ def run_sequence(storage_bytes: float, seed: int) -> str:
             record("r" + ",".join(map(str, victims)))
             continue
         if placed and roll < 0.4:
-            # Re-place a program just evicted, so the boxes it freed
+            # Re-place a program just evicted, so the peers it freed
             # return to levels they held before.
             pid = placed.pop(rng.randrange(len(placed)))
             placement.remove_program(pid)
@@ -88,7 +83,7 @@ def run_sequence(storage_bytes: float, seed: int) -> str:
             sizes[pid] = rng.randint(1, max_segments)
         segments = sizes[pid]
         # Evict oldest first until the program fits, as a cache does.
-        while _free_slots(boxes) < segments:
+        while placement.free_slots < segments:
             victim = placed.pop(0)
             placement.remove_programs((victim,))
             record(f"e{victim}")
@@ -96,7 +91,7 @@ def run_sequence(storage_bytes: float, seed: int) -> str:
         program = Program(pid, segments * 300.0 - partial)
         assignment = placement.place_program(program)
         placed.append(pid)
-        record(f"p{pid}", [box.box_id for box in assignment])
+        record(f"p{pid}", [100 + peer for peer in assignment])
     return digest.hexdigest()
 
 

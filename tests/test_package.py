@@ -24,8 +24,6 @@ PUBLIC_MODULES = [
     "repro.topology",
     "repro.topology.hfc",
     "repro.topology.placement",
-    "repro.peers",
-    "repro.peers.settop",
     "repro.cache",
     "repro.cache.base",
     "repro.cache.lru",

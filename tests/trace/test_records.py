@@ -14,6 +14,7 @@ from repro.trace.records import (
     SessionRecord,
     Trace,
     check_columns,
+    check_references,
 )
 from repro.trace.share import (
     SliceReader,
@@ -241,6 +242,16 @@ DAMAGES = [
 ]
 
 
+#: Damages only a slice reader can see: each row is a valid record, but
+#: it names what the four-user, four-program trace lacks, or outlasts
+#: its program (row 3 watches program 1, 60 minutes long).
+REFERENCE_DAMAGES = [
+    pytest.param((1, 3, 4), id="user-n_users"),
+    pytest.param((2, 3, 4), id="program-n_programs"),
+    pytest.param((3, 3, 36_000.0), id="duration-10x-length"),
+]
+
+
 def _damaged(columns, damage):
     column, row, value = damage
     columns = [list(c) for c in columns]
@@ -288,18 +299,21 @@ class TestDamagedSlices:
                            array("d", columns[3]))
         return writer.close()
 
-    @pytest.mark.parametrize("damaged_slice", DAMAGES, indirect=True)
+    @pytest.mark.parametrize("damaged_slice", DAMAGES + REFERENCE_DAMAGES,
+                             indirect=True)
     def test_reader_chunks_refuse(self, damaged_slice):
         with pytest.raises(TraceError):
             list(SliceReader(damaged_slice).chunks())
 
-    @pytest.mark.parametrize("damaged_slice", DAMAGES, indirect=True)
+    @pytest.mark.parametrize("damaged_slice", DAMAGES + REFERENCE_DAMAGES,
+                             indirect=True)
     def test_attach_trace_refuses(self, damaged_slice):
         with pytest.raises(TraceError):
             attach_trace(damaged_slice)
 
     @pytest.mark.parametrize("engine", ["bucket", "columnar"])
-    @pytest.mark.parametrize("damaged_slice", DAMAGES, indirect=True)
+    @pytest.mark.parametrize("damaged_slice", DAMAGES + REFERENCE_DAMAGES,
+                             indirect=True)
     def test_chunk_run_refuses(self, damaged_slice, engine):
         with attach_columns(damaged_slice) as reader:
             system = CableVoDSystem(
@@ -307,3 +321,34 @@ class TestDamagedSlices:
                 catalog=reader.catalog, n_users=reader.n_users)
             with pytest.raises(TraceError):
                 system.run(reader.chunks())
+
+
+class TestReferenceChecks:
+    """``check_references``: ids in range, durations within their programs."""
+
+    def test_clean_columns_pass(self, simple_trace):
+        _, users, programs, durations = simple_trace.columns()
+        limits = [length + 1.0 for length in simple_trace.catalog.lengths]
+        check_references(users, programs, durations, 4, limits)
+        check_references([], [], [], 0, [])
+
+    @pytest.mark.parametrize("damage, message", [
+        ((1, 3, 4), "references user 4"),
+        ((2, 3, 4), "references program 4 but the catalog has 4"),
+        ((3, 3, 36_000.0), r"36000.0s exceeds program 1 length .*user 3"),
+    ])
+    def test_each_damage_is_named(self, simple_trace, damage, message):
+        _, users, programs, durations = _damaged(simple_trace.columns(), damage)
+        limits = [length + 1.0 for length in simple_trace.catalog.lengths]
+        with pytest.raises(TraceError, match=message):
+            check_references(users, programs, durations, 4, limits)
+
+    def test_one_second_of_slack_as_the_list_constructor(self, simple_trace):
+        # Program 1 is 3600 s long: 3601 s passes both, 3601.5 s neither.
+        limits = [length + 1.0 for length in simple_trace.catalog.lengths]
+        check_references([0], [1], [3601.0], 4, limits)
+        with pytest.raises(TraceError):
+            check_references([0], [1], [3601.5], 4, limits)
+        with pytest.raises(TraceError):
+            Trace([make_record(program=1, minutes=3601.5 / 60)],
+                  simple_trace.catalog)
