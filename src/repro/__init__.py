@@ -19,7 +19,7 @@ Package map
 -----------
 ``repro.sim``         discrete-event engine and seeded random streams
 ``repro.trace``       workload model: records, synthesis, scaling, stats
-``repro.topology``    HFC plant: headends, coax neighborhoods, placement
+``repro.topology``    HFC plant: users placed into coax neighborhoods
 ``repro.cache``       the cache policy engine (LRU / LFU / Oracle /
                       Global-LFU / GDSF / ARC / threshold), placement on
                       set-top peers, index server (two-channel limit)

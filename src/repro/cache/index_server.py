@@ -26,7 +26,6 @@ from repro import units
 from repro.cache.base import CacheStrategy, MembershipChange
 from repro.cache.segments import PlacementMap
 from repro.errors import CacheError, CapacityError, PlacementError
-from repro.topology.hfc import Neighborhood
 from repro.trace.records import Catalog
 
 
@@ -153,8 +152,8 @@ class IndexServer:
     """Per-neighborhood cache orchestrator.
 
     The server owns the neighborhood's peers as plain columns: peer
-    ``i`` is subscriber ``neighborhood.user_ids[i]`` (the placement
-    map's peer index), and the paper's two-channel limit (section V-C)
+    ``i`` is subscriber ``user_ids[i]`` (the placement map's peer
+    index), and the paper's two-channel limit (section V-C)
     is one list of lease end-times per peer.  Leases are swept lazily,
     against the clock of the request that needs a channel -- exact,
     because occupancy matters only at that instant -- so no release
@@ -162,41 +161,45 @@ class IndexServer:
 
     Parameters
     ----------
-    neighborhood:
-        The coax segment this server manages.
+    neighborhood_id:
+        The global id of the coax segment this server manages.
+    user_ids:
+        The segment's subscribers in peer order (a slice of
+        :attr:`~repro.topology.hfc.CablePlant.order`).
     strategy:
         The (already bound) membership policy.
     placement:
         The physical placement map over the neighborhood's peers, one
-        per subscriber in ``neighborhood.user_ids`` order.
+        per subscriber in ``user_ids`` order.
     catalog:
         Program metadata (lengths drive segment counts).
     max_streams:
         Concurrent channels per peer (default 2, per the paper).
     """
 
-    __slots__ = ("neighborhood", "_strategy", "_placement", "_catalog",
+    __slots__ = ("neighborhood_id", "_strategy", "_placement", "_catalog",
                  "_stored", "_segment_counts", "_lengths", "_max_streams",
                  "_leases", "_peer_user", "_user_leases", "stats")
 
     def __init__(
         self,
-        neighborhood: Neighborhood,
+        neighborhood_id: int,
+        user_ids: Sequence[int],
         strategy: CacheStrategy,
         placement: PlacementMap,
         catalog: Catalog,
         max_streams: int = units.MAX_STREAMS_PER_PEER,
     ) -> None:
-        user_ids = neighborhood.user_ids
+        user_ids = tuple(user_ids)
         if placement.n_peers != len(user_ids):
             raise CacheError(
-                f"neighborhood {neighborhood.neighborhood_id}: placement "
+                f"neighborhood {neighborhood_id}: placement "
                 f"has {placement.n_peers} peers for {len(user_ids)} users"
             )
         if max_streams < 1:
             raise CapacityError(
                 f"max_streams must be at least 1, got {max_streams}")
-        self.neighborhood = neighborhood
+        self.neighborhood_id = neighborhood_id
         self._strategy = strategy
         self._placement = placement
         self._catalog = catalog
@@ -239,7 +242,7 @@ class IndexServer:
         if leases is None:
             raise CacheError(
                 f"user {user_id} is not in neighborhood "
-                f"{self.neighborhood.neighborhood_id}"
+                f"{self.neighborhood_id}"
             )
         return leases
 

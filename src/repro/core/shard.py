@@ -140,20 +140,23 @@ def validate_shard_plan(workload: Workload, config: SimulationConfig,
 # ----------------------------------------------------------------------
 
 def _shard_owners(n_users: int, config: SimulationConfig,
-                  groups: List[Tuple[int, ...]]) -> List[int]:
-    """User id -> shard index, from the placement the simulator uses."""
+                  groups: List[Tuple[int, ...]]) -> array:
+    """User id -> shard index, from the placement the simulator uses.
+
+    Each group is a contiguous id range, so its users are one slice of
+    the plant's ``order``.
+    """
     plant = shared_plant(n_users, config.neighborhood_size,
                          config.placement_seed)
-    neighborhoods = plant.neighborhoods
-    owners = [0] * n_users
+    size = plant.neighborhood_size
+    owners = array("q", bytes(8 * n_users))
     for shard, ids in enumerate(groups):
-        for nid in ids:
-            for user_id in neighborhoods[nid].user_ids:
-                owners[user_id] = shard
+        for user_id in plant.order[ids[0] * size:(ids[-1] + 1) * size]:
+            owners[user_id] = shard
     return owners
 
 
-def _chunk_splitter(owners: List[int], n_shards: int
+def _chunk_splitter(owners: array, n_shards: int
                     ) -> Callable[[TraceChunk], List[Optional[tuple]]]:
     """``split(chunk)`` -> per shard, its four column buffers or ``None``.
 
@@ -181,7 +184,7 @@ def _chunk_splitter(owners: List[int], n_shards: int
 
         return split_python
 
-    table = np.asarray(owners, dtype=np.intp)
+    table = np.frombuffer(owners, dtype=np.int64)
 
     def split_numpy(chunk: TraceChunk) -> List[Optional[tuple]]:
         users = np.asarray(chunk.user_ids, dtype=np.int64)

@@ -83,10 +83,16 @@ class CableVoDSystem:
 
     Build once, :meth:`run` once.  For parameter sweeps construct a new
     system per configuration; construction is cheap relative to the run.
-    No per-subscriber object is built: each selected neighborhood gets
-    one :class:`~repro.cache.segments.PlacementMap` over its peers'
-    slot counts and one :class:`IndexServer` holding their channel
-    leases.
+    ``neighborhood_ids``, when given, is a non-empty ascending run of
+    contiguous global ids (one shard's group); the default is the whole
+    plant.  Users are resolved through the shared
+    :class:`~repro.topology.hfc.CablePlant`'s ``rank`` array, so the
+    system builds no table sized by the user count and no
+    per-subscriber object: each selected neighborhood gets one
+    :class:`~repro.cache.segments.PlacementMap` over its peers' slot
+    counts and one :class:`IndexServer` holding their channel leases.
+    A session of a user homed outside the selected neighborhoods raises
+    :class:`SimulationError` before it reaches any server.
     """
 
     def __init__(self, trace: Optional[Trace], config: SimulationConfig,
@@ -114,27 +120,30 @@ class CableVoDSystem:
         #: (n_users, neighborhood_size, seed), so every shard task sees
         #: the identical layout (one memoized build per process) and
         #: picks its group from it.
-        self._plant = shared_plant(
+        plant = self._plant = shared_plant(
             n_users, config.neighborhood_size, config.placement_seed
         )
-        neighborhoods = self._plant.neighborhoods
-        if neighborhood_ids is None:
-            selected = list(neighborhoods)
-        else:
-            ids = list(neighborhood_ids)
-            if ids != sorted(set(ids)):
+        ids = range(len(plant))
+        if neighborhood_ids is not None:
+            requested = list(neighborhood_ids)
+            first = requested[0] if requested else 0
+            ids = range(first, first + len(requested))
+            if (not requested or requested != list(ids)
+                    or first < 0 or ids[-1] >= len(plant)):
                 raise SimulationError(
-                    "neighborhood_ids must be sorted and unique"
+                    f"neighborhood_ids must be a non-empty ascending "
+                    f"contiguous run within 0..{len(plant) - 1}"
                 )
-            if ids and not (0 <= ids[0] and ids[-1] < len(neighborhoods)):
-                raise SimulationError(
-                    f"neighborhood_ids out of range 0..{len(neighborhoods) - 1}"
-                )
-            selected = [neighborhoods[i] for i in ids]
         #: The neighborhoods this instance simulates (the whole plant in
-        #: a monolithic run, one group in a shard).  Always in ascending
-        #: global id order -- the fold below depends on it.
-        self._selected = selected
+        #: a monolithic run, one group in a shard): an ascending range of
+        #: global ids -- the fold below depends on the order -- so a
+        #: user's local index is ``rank // size - ids.start``.
+        self._ids = ids
+        self._rank = plant.rank
+        self._size = plant.neighborhood_size
+        members = [plant.members(nid) for nid in ids]
+        #: Subscribers per simulated neighborhood, in local order.
+        self._sizes = [len(users) for users in members]
 
         # The catalog's shared table; each footprint equals the float
         # cache_footprint_bytes() returns.
@@ -144,15 +153,6 @@ class CableVoDSystem:
         #: program_id -> final segment index, for the per-session path.
         self._last_segment: List[int] = [count - 1 for count in counts]
 
-        #: user id -> *local* index into the selected neighborhoods
-        #: (-1 outside this shard; such users never appear in a shard's
-        #: trace slice).  Equals the global neighborhood id when the
-        #: whole plant is selected.
-        self._user_neighborhood: List[int] = [-1] * n_users
-        for local, neighborhood in enumerate(selected):
-            for user_id in neighborhood.user_ids:
-                self._user_neighborhood[user_id] = local
-
         if config.strategy.requires_future_knowledge and trace is None:
             raise SimulationError(
                 f"strategy {config.strategy.label!r} requires future "
@@ -160,7 +160,7 @@ class CableVoDSystem:
             )
         built = config.strategy.build(
             BuildInputs(
-                n_neighborhoods=len(selected),
+                n_neighborhoods=len(ids),
                 future_accesses=(
                     self._neighborhood_futures()
                     if config.strategy.requires_future_knowledge
@@ -174,17 +174,17 @@ class CableVoDSystem:
 
         slots = peer_slots(config.per_peer_storage_bytes)
         self._servers: List[IndexServer] = []
-        for neighborhood, strategy in zip(selected, built.strategies):
-            placement = PlacementMap([slots] * neighborhood.size)
+        for nid, users, strategy in zip(ids, members, built.strategies):
+            placement = PlacementMap([slots] * len(users))
             context = StrategyContext(
-                neighborhood_id=neighborhood.neighborhood_id,
+                neighborhood_id=nid,
                 capacity_bytes=usable_capacity_bytes(
-                    config.per_peer_storage_bytes, neighborhood.size
+                    config.per_peer_storage_bytes, len(users)
                 ),
                 footprint_of=lambda pid, _f=footprints: _f[pid],
             )
             initial = strategy.bind(context)
-            server = IndexServer(neighborhood, strategy, placement, catalog,
+            server = IndexServer(nid, users, strategy, placement, catalog,
                                  config.max_streams_per_peer)
             server.apply_initial_membership(initial)
             self._servers.append(server)
@@ -199,19 +199,17 @@ class CableVoDSystem:
         # bit-identity.  Families: all deliveries, on-coax deliveries,
         # peer-originated broadcasts (the traffic that rides the
         # bidirectional amplifiers of section IV-B.4), server deliveries.
-        families = [[HourlyMeter() for _ in selected] for _ in range(4)]
+        families = [[HourlyMeter() for _ in ids] for _ in range(4)]
         (self._local_total, self._local_coax, self._local_upstream,
          self._local_server) = families
         (self._total_meters, self._coax_meters, self._upstream_meters,
-         self._server_meters) = (
-            {n.neighborhood_id: m for n, m in zip(selected, meters)}
-            for meters in families)
+         self._server_meters) = (dict(zip(ids, meters)) for meters in families)
         #: Flat delivery log, four entries per delivery: ``(now, watch,
         #: local neighborhood, outcome code)``; see :meth:`_flush`.
         self._log: list = []
         #: Per-(local neighborhood, outcome code) delivery counts, applied
         #: to the index-server stats when the result is built.
-        self._counts = [[0] * idx.N_OUTCOME_CODES for _ in selected]
+        self._counts = [[0] * idx.N_OUTCOME_CODES for _ in ids]
         self._flush_len = 4 * FLUSH_ROWS
         self._vector_fold = columnar_supported()
         self._ran = False
@@ -229,19 +227,33 @@ class CableVoDSystem:
         """Per-neighborhood future access schedules (oracle knowledge).
 
         Read from the trace's columns, which are already time-sorted,
-        so each program's list comes out sorted for free.
+        so each program's list comes out sorted for free.  A row homed
+        outside this system's neighborhoods raises, as in the replay.
         """
-        futures: List[Dict[int, List[float]]] = [
-            dict() for _ in range(len(self._selected))
-        ]
+        futures: List[Dict[int, List[float]]] = [dict() for _ in self._ids]
         starts, users, programs, _ = self._trace.columns()
-        user_neighborhood = self._user_neighborhood
+        local_of = self._local_neighborhood
         for start, user_id, program_id in zip(starts, users, programs):
-            local = user_neighborhood[user_id]
-            if local < 0:
-                continue  # a user outside this shard's neighborhoods
-            futures[local].setdefault(program_id, []).append(start)
+            futures[local_of(user_id)].setdefault(program_id, []).append(start)
         return futures
+
+    def _local_neighborhood(self, user_id: int) -> int:
+        """``user_id``'s local neighborhood index, checked.
+
+        Raises :class:`SimulationError` for a user homed outside this
+        system's neighborhoods, before the session reaches any server.
+        """
+        local = self._rank[user_id] // self._size - self._ids.start
+        if not 0 <= local < len(self._ids):
+            raise self._outside(user_id)
+        return local
+
+    def _outside(self, user_id: int) -> SimulationError:
+        ids = self._ids
+        return SimulationError(
+            f"user {user_id} is homed outside this system's neighborhoods "
+            f"{ids[0]}..{ids[-1]}"
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -290,7 +302,7 @@ class CableVoDSystem:
         now = sim.now
         if end is None:
             end = now + duration
-        neighborhood_id = self._user_neighborhood[user_id]
+        neighborhood_id = self._local_neighborhood(user_id)
         server = self._servers[neighborhood_id]
         if self._feed is not None:
             self._feed.record(now, program_id, neighborhood_id)
@@ -481,7 +493,7 @@ class CableVoDSystem:
             sim = self._sim
             callback = self._start_session_fast
             if admission is not None:
-                admission.bind([n.size for n in self._selected])
+                admission.bind(self._sizes)
                 self._live = admission
                 callback = self._live_request
             end_time = 0.0
@@ -522,7 +534,7 @@ class CableVoDSystem:
         sim = self._sim
         now = sim.now
         verdict = self._live.decide(
-            now, user_id, program_id, self._user_neighborhood[user_id],
+            now, user_id, program_id, self._local_neighborhood(user_id),
             attempts, deadline=end,
         )
         action = verdict.action
@@ -565,8 +577,8 @@ class CableVoDSystem:
         self._media_server.meter = HourlyMeter.merged([server_meter])
         return SimulationResult(
             config=self._config,
-            n_users=sum(n.size for n in self._selected),
-            n_neighborhoods=len(self._selected),
+            n_users=sum(self._sizes),
+            n_neighborhoods=len(self._ids),
             trace_end_time=trace_end_time,
             server_meter=server_meter,
             total_meter=HourlyMeter.merged(self._local_total),
@@ -605,23 +617,24 @@ class CableVoDSystem:
 
         from repro.sim.columnar import build_schedule
 
-        nbhd_of_user = np.asarray(self._user_neighborhood, dtype=np.int64)
+        rank = np.frombuffer(self._rank, dtype=np.int64)
+        first, count = self._ids.start, len(self._ids)
         # Bound-method and plain-list lookups hoisted out of the loop;
         # .tolist() because iterating numpy arrays yields numpy scalars,
         # which are several times slower in the interpreter.
         session_starts = [s.on_session_start for s in self._servers]
         request_code = [s.request_segment_code for s in self._servers]
-        lease_of_user = [None] * len(self._user_neighborhood)
-        for server in self._servers:
-            for user_id in server.neighborhood.user_ids:
-                lease_of_user[user_id] = server.playback_leases(user_id).append
+        leases_of = [s.playback_leases for s in self._servers]
         feed = self._feed
         events = 0
         end_time = 0.0
 
         for schedule in build_schedule(chunks, self._last_segment):
             events += schedule.n_events
-            event_nbhd = nbhd_of_user[schedule.user]
+            event_nbhd = rank[schedule.user] // self._size - first
+            outside = (event_nbhd < 0) | (event_nbhd >= count)
+            if outside.any():
+                raise self._outside(int(schedule.user[outside.argmax()]))
             # Walk op per event: 0 = session start delivering segment 0,
             # 1 = session start whose first segment is float noise
             # (session bookkeeping only), 2 = arc delivery.
@@ -643,7 +656,7 @@ class CableVoDSystem:
                     if feed is not None:
                         feed.record(now, program_id, nbhd)
                     session_starts[nbhd](now, user_id, program_id)
-                    lease_of_user[user_id](end)  # the session's end
+                    leases_of[nbhd](user_id).append(end)  # the session's end
                     if kind == 0:
                         append_code(request_code[nbhd](
                             now, user_id, program_id, 0, watch

@@ -3,23 +3,23 @@
 The paper's section II describes a three-level hierarchy -- cable
 operator, headends, coaxial neighborhoods of subscribers -- connected by
 a switched fiber network (operator <-> headends) and legacy broadcast
-coax (headend <-> subscribers).  This package models that hierarchy:
+coax (headend <-> subscribers).  Each headend serves one neighborhood,
+so this package models the hierarchy as the subscriber layout alone:
 
-* :mod:`repro.topology.hfc` -- the topology objects and capacity facts;
+* :mod:`repro.topology.hfc` -- :class:`CablePlant`, the placement as one
+  user permutation and its inverse;
 * :mod:`repro.topology.placement` -- the deterministic uniform-random
   assignment of trace users to neighborhoods required by section V-B;
 * :mod:`repro.topology.sharding` -- the contiguous neighborhood-group
   partition behind sharded metro replay.
 """
 
-from repro.topology.hfc import CablePlant, Headend, Neighborhood
+from repro.topology.hfc import CablePlant
 from repro.topology.placement import place_users
 from repro.topology.sharding import n_neighborhoods_for, partition_neighborhoods
 
 __all__ = [
     "CablePlant",
-    "Headend",
-    "Neighborhood",
     "n_neighborhoods_for",
     "partition_neighborhoods",
     "place_users",

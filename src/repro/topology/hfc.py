@@ -1,145 +1,51 @@
-"""Hybrid Fiber-Coax topology objects.
+"""The HFC plant's subscriber layout.
 
-A :class:`CablePlant` is the whole deployment: one logical cable operator
-(the central media-server site), a set of :class:`Headend` instances, and
-one coaxial :class:`Neighborhood` per headend.  The paper pairs each
-headend with exactly one neighborhood (the index server lives at the
-headend and manages that neighborhood's cooperative cache), so we keep
-that 1:1 structure.
-
-Capacity constants live in :mod:`repro.units`; the topology exposes them
-per neighborhood so feasibility checks (paper section VI-B) can be made
-against the object being measured.
+The paper's section II describes a three-level hierarchy -- cable
+operator, headends, coaxial neighborhoods of subscribers.  Each headend
+serves exactly one neighborhood, and its index server manages that
+neighborhood's cooperative cache, so the only fact the simulator needs
+about the hierarchy is which subscribers share a coax segment.  A
+:class:`CablePlant` holds exactly that: one permutation of the user ids,
+cut into consecutive runs of ``neighborhood_size``, plus its inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
-
-from repro import units
-from repro.errors import TopologyError
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """A coaxial broadcast domain: the subscribers behind one headend.
-
-    Attributes
-    ----------
-    neighborhood_id:
-        Dense index of this neighborhood within the plant.
-    user_ids:
-        Trace user ids homed on this coax segment.  Every user owns one
-        set-top box, so this is also the peer population.
-    coax_downstream_bps / coax_vod_bps / coax_upstream_bps:
-        Physical capacity facts for feasibility checks.
-    """
-
-    neighborhood_id: int
-    user_ids: Tuple[int, ...]
-    coax_downstream_bps: float = units.COAX_DOWNSTREAM_CAPACITY_BPS
-    coax_vod_bps: float = units.COAX_VOD_CAPACITY_BPS
-    coax_upstream_bps: float = units.COAX_UPSTREAM_CAPACITY_BPS
-
-    def __post_init__(self) -> None:
-        if self.neighborhood_id < 0:
-            raise TopologyError(
-                f"neighborhood_id must be non-negative, got {self.neighborhood_id}"
-            )
-        if not self.user_ids:
-            raise TopologyError(
-                f"neighborhood {self.neighborhood_id} has no subscribers"
-            )
-
-    @property
-    def size(self) -> int:
-        """Number of subscribers (== set-top boxes) on this coax segment."""
-        return len(self.user_ids)
-
-
-@dataclass(frozen=True)
-class Headend:
-    """An intermediate distribution point serving one neighborhood.
-
-    The index server that orchestrates the neighborhood cache runs here
-    (paper section IV-B: "The peers in each neighborhood are organized
-    into a cooperative cache by an index server placed at each headend").
-    """
-
-    headend_id: int
-    neighborhood: Neighborhood
-
-    def __post_init__(self) -> None:
-        if self.headend_id != self.neighborhood.neighborhood_id:
-            raise TopologyError(
-                f"headend {self.headend_id} paired with neighborhood "
-                f"{self.neighborhood.neighborhood_id}; the plant keeps these 1:1"
-            )
+from array import array
 
 
 class CablePlant:
-    """The full HFC deployment: operator, headends, neighborhoods.
+    """Users placed into coax neighborhoods, as a permutation.
 
-    Provides user -> neighborhood resolution for the simulator and
-    aggregate facts for reporting.
+    Attributes
+    ----------
+    order:
+        Every user id once, in placement order.  Neighborhood ``i`` is
+        ``order[i * neighborhood_size:(i + 1) * neighborhood_size]``;
+        the last neighborhood holds the remainder.
+    rank:
+        The inverse permutation: ``order[rank[user]] == user``, so user
+        ``u`` lives in neighborhood ``rank[u] // neighborhood_size`` as
+        peer ``rank[u] % neighborhood_size``.
+    neighborhood_size:
+        Subscribers per full neighborhood.
     """
 
-    def __init__(self, neighborhoods: Sequence[Neighborhood]) -> None:
-        if not neighborhoods:
-            raise TopologyError("a cable plant needs at least one neighborhood")
-        self._neighborhoods: List[Neighborhood] = list(neighborhoods)
-        self._headends: List[Headend] = []
-        self._user_to_neighborhood: Dict[int, int] = {}
-        for index, neighborhood in enumerate(self._neighborhoods):
-            if neighborhood.neighborhood_id != index:
-                raise TopologyError(
-                    f"neighborhood ids must be dense: position {index} holds "
-                    f"id {neighborhood.neighborhood_id}"
-                )
-            self._headends.append(Headend(index, neighborhood))
-            for user_id in neighborhood.user_ids:
-                if user_id in self._user_to_neighborhood:
-                    raise TopologyError(
-                        f"user {user_id} appears in neighborhoods "
-                        f"{self._user_to_neighborhood[user_id]} and {index}"
-                    )
-                self._user_to_neighborhood[user_id] = index
+    __slots__ = ("order", "rank", "neighborhood_size")
+
+    def __init__(self, order: array, neighborhood_size: int) -> None:
+        self.order = order
+        self.neighborhood_size = neighborhood_size
+        rank = array("q", bytes(8 * len(order)))
+        for position, user_id in enumerate(order):
+            rank[user_id] = position
+        self.rank = rank
 
     def __len__(self) -> int:
-        return len(self._neighborhoods)
+        """The neighborhood count."""
+        return -(-len(self.order) // self.neighborhood_size)
 
-    def __iter__(self) -> Iterator[Neighborhood]:
-        return iter(self._neighborhoods)
-
-    @property
-    def neighborhoods(self) -> Tuple[Neighborhood, ...]:
-        """All neighborhoods in id order."""
-        return tuple(self._neighborhoods)
-
-    @property
-    def headends(self) -> Tuple[Headend, ...]:
-        """All headends in id order."""
-        return tuple(self._headends)
-
-    @property
-    def n_users(self) -> int:
-        """Total subscriber count across the plant."""
-        return len(self._user_to_neighborhood)
-
-    def neighborhood_of(self, user_id: int) -> Neighborhood:
-        """The neighborhood homing ``user_id``.
-
-        Raises
-        ------
-        TopologyError
-            If the user is not placed anywhere in the plant.
-        """
-        index = self._user_to_neighborhood.get(user_id)
-        if index is None:
-            raise TopologyError(f"user {user_id} is not homed in this plant")
-        return self._neighborhoods[index]
-
-    def mean_neighborhood_size(self) -> float:
-        """Average subscribers per neighborhood."""
-        return self.n_users / len(self._neighborhoods)
+    def members(self, neighborhood_id: int) -> array:
+        """The user ids of one neighborhood, in peer order."""
+        size = self.neighborhood_size
+        return self.order[neighborhood_id * size:(neighborhood_id + 1) * size]

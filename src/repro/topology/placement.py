@@ -16,12 +16,12 @@ identical mapping.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import List
 
 from repro.errors import TopologyError
 from repro.sim.random_streams import RandomStreams
-from repro.topology.hfc import CablePlant, Neighborhood
+from repro.topology.hfc import CablePlant
 
 #: Root seed of the placement shuffle.  Fixed by design (see module
 #: docstring); change it only to study placement sensitivity.
@@ -54,7 +54,9 @@ def place_users(
     Returns
     -------
     CablePlant
-        Plant with ``ceil(n_users / neighborhood_size)`` neighborhoods.
+        The shuffled ids as a permutation (``order``) and its inverse
+        (``rank``); the plant has ``ceil(n_users / neighborhood_size)``
+        neighborhoods.
     """
     if n_users <= 0:
         raise TopologyError(f"n_users must be positive, got {n_users}")
@@ -63,19 +65,9 @@ def place_users(
             f"neighborhood_size must be positive, got {neighborhood_size}"
         )
     rng = RandomStreams(placement_seed).get(f"placement-size-{neighborhood_size}")
-    users = list(range(n_users))
+    users = array("q", range(n_users))
     rng.shuffle(users)
-
-    neighborhoods: List[Neighborhood] = []
-    for start in range(0, n_users, neighborhood_size):
-        members = users[start : start + neighborhood_size]
-        neighborhoods.append(
-            Neighborhood(
-                neighborhood_id=len(neighborhoods),
-                user_ids=tuple(members),
-            )
-        )
-    return CablePlant(neighborhoods)
+    return CablePlant(users, neighborhood_size)
 
 
 @lru_cache(maxsize=2)

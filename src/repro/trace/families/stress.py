@@ -33,11 +33,9 @@ also re-roots the perturbation streams.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.random_streams import RandomStreams, derive_seed
@@ -47,31 +45,11 @@ from repro.trace.families import (
     coerce_trace_model,
     workload_family,
 )
-from repro.trace.records import Catalog, Trace
+from repro.trace.records import Trace, _sorted_trace
 from repro.trace.synthetic import PowerInfoModel, _sample_poisson
 
 _SECONDS_PER_HOUR = 3600.0
 _SECONDS_PER_DAY = 86400.0
-
-
-def _sorted_trace(starts: Sequence[float], users: Sequence[int],
-                  programs: Sequence[int], durations: Sequence[float],
-                  catalog: Catalog, n_users: int) -> Trace:
-    """``Trace.from_columns`` of rows a remap or a spike may have reordered.
-
-    Strictly ascending starts are already in ``(start, user, program)``
-    order.  Otherwise the rows are stably sorted by that key -- the
-    order the record constructor's ``sorted()`` gives, ties on the
-    whole key keeping their row order.
-    """
-    if not all(map(operator.lt, starts, islice(starts, 1, None))):
-        order = sorted(range(len(starts)),
-                       key=lambda i: (starts[i], users[i], programs[i]))
-        starts, users, programs, durations = (
-            [column[i] for i in order]
-            for column in (starts, users, programs, durations))
-    return Trace.from_columns(starts, users, programs, durations, catalog,
-                              n_users)
 
 
 @dataclass(frozen=True)

@@ -500,6 +500,27 @@ class Trace:
             self._catalog, self._n_users)
 
 
+def _sorted_trace(starts: Sequence[float], users: Sequence[int],
+                  programs: Sequence[int], durations: Sequence[float],
+                  catalog: Catalog, n_users: int) -> Trace:
+    """``Trace.from_columns`` of rows a transform may have reordered.
+
+    Strictly ascending starts are already in ``(start, user, program)``
+    order.  Otherwise the rows are stably sorted by that key -- the
+    order the record constructor's ``sorted()`` gives, ties on the
+    whole key keeping their row order.
+    """
+    if not all(map(operator.lt, starts, islice(starts, 1, None))):
+        order = sorted(range(len(starts)),
+                       key=lambda i: (starts[i], users[i], programs[i]))
+        starts = [starts[i] for i in order]
+        users = [users[i] for i in order]
+        programs = [programs[i] for i in order]
+        durations = [durations[i] for i in order]
+    return Trace.from_columns(starts, users, programs, durations, catalog,
+                              n_users)
+
+
 class TraceChunk:
     """One contiguous span of simulated hours' worth of sessions.
 

@@ -14,15 +14,11 @@ the PowerInfo trace multiplicatively rather than re-modelling it:
 Both transforms are implemented exactly as described, deterministically
 (seeded), and preserve the statistical character of the base trace.
 
-Each transform has two implementations behind the trace-backend gate
-(``REPRO_TRACE_BACKEND`` / :func:`~repro.trace.synthetic.resolve_trace_backend`):
-a record-object path and a columnar numpy path.  Unlike the generator
-backends, the two paths here are **bit-identical**, not merely
-distribution-equivalent: both draw the same values from the same seeded
-stream in the same order, compute the same float sums, and sort with the
-same stable ``(start, user, program)`` key -- so a fig15-style grid gets
-its sweep setup vectorized without changing a single record
-(``tests/trace/test_scaling.py`` pins this).
+Each transform reads the trace's columns, draws from its seeded stream
+in row order, and builds the new trace through the stable
+``(start, user, program)`` sort of :func:`~repro.trace.records._sorted_trace`
+-- one path with or without numpy, whose output is pinned by digest in
+``tests/trace/test_scaling.py``.
 """
 
 from __future__ import annotations
@@ -31,8 +27,7 @@ from typing import List
 
 from repro.errors import ConfigurationError
 from repro.sim.random_streams import RandomStreams
-from repro.trace.records import Catalog, Program, SessionRecord, Trace
-from repro.trace.synthetic import resolve_trace_backend
+from repro.trace.records import Catalog, Program, Trace, _sorted_trace
 
 
 def scale_population(trace: Trace, factor: int, seed: int = 160) -> Trace:
@@ -47,63 +42,24 @@ def scale_population(trace: Trace, factor: int, seed: int = 160) -> Trace:
     if factor == 1:
         return trace
     rng = RandomStreams(seed).get(f"population-scale-{factor}")
-    base_users = trace.n_users
-    if resolve_trace_backend() == "numpy":
-        return _scale_population_numpy(trace, factor, rng, base_users)
-    records: List[SessionRecord] = []
-    for record in trace:
-        records.append(record)
-        for copy in range(1, factor):
-            records.append(
-                SessionRecord(
-                    start_time=record.start_time + rng.uniform(1.0, 60.0),
-                    user_id=record.user_id + copy * base_users,
-                    program_id=record.program_id,
-                    duration_seconds=record.duration_seconds,
-                )
-            )
-    return Trace(records, trace.catalog, n_users=base_users * factor)
-
-
-def _scale_population_numpy(trace: Trace, factor: int, rng,
-                            base_users: int) -> Trace:
-    """Columnar population scaling, bit-identical to the record path.
-
-    The jitter draws stay on the Python ``random`` stream in the exact
-    scalar order (record-major, copies ``1..factor-1`` inner) -- only
-    the construction and the sort are vectorized.  Rows are laid out in
-    the scalar construction order (record-major, copy 0 first) before a
-    stable lexsort, so ties under the ``(start, user, program)`` key
-    resolve exactly as ``sorted()`` resolves them in the record path.
-    """
-    import numpy as np
-
-    starts, users, programs, durations = trace.columns()
-    n = len(starts)
     uniform = rng.uniform
-    jitter = np.asarray(
-        [uniform(1.0, 60.0) for _ in range(n * (factor - 1))],
-        dtype=np.float64,
-    ).reshape(n, factor - 1)
-    start_col = np.asarray(starts, dtype=np.float64)
-    out_starts = np.empty((n, factor), dtype=np.float64)
-    out_starts[:, 0] = start_col
-    out_starts[:, 1:] = start_col[:, None] + jitter
-    out_users = (np.asarray(users, dtype=np.int64)[:, None]
-                 + np.arange(factor, dtype=np.int64) * base_users)
-    out_programs = np.repeat(np.asarray(programs, dtype=np.int64), factor)
-    out_durations = np.repeat(np.asarray(durations, dtype=np.float64), factor)
-    flat_starts = out_starts.ravel()
-    flat_users = out_users.ravel()
-    order = np.lexsort((out_programs, flat_users, flat_starts))
-    return Trace.from_columns(
-        flat_starts[order].tolist(),
-        flat_users[order].tolist(),
-        out_programs[order].tolist(),
-        out_durations[order].tolist(),
-        trace.catalog,
-        base_users * factor,
-    )
+    base_users = trace.n_users
+    offsets = range(base_users, factor * base_users, base_users)
+    starts: List[float] = []
+    users: List[int] = []
+    programs: List[int] = []
+    durations: List[float] = []
+    for start, user_id, program_id, duration in zip(*trace.columns()):
+        # Copy 0 verbatim, then copies 1..factor-1, each drawing its
+        # jitter in that order.
+        starts.append(start)
+        starts.extend([start + uniform(1.0, 60.0) for _ in offsets])
+        users.append(user_id)
+        users.extend([user_id + offset for offset in offsets])
+        programs.extend([program_id] * factor)
+        durations.extend([duration] * factor)
+    return _sorted_trace(starts, users, programs, durations, trace.catalog,
+                         base_users * factor)
 
 
 def scale_catalog(trace: Trace, factor: int, seed: int = 161) -> Trace:
@@ -132,44 +88,9 @@ def scale_catalog(trace: Trace, factor: int, seed: int = 161) -> Trace:
                 )
             )
     catalog = Catalog(programs)
-    if resolve_trace_backend() == "numpy":
-        return _scale_catalog_numpy(trace, factor, rng, base_programs, catalog)
-    records = [
-        SessionRecord(
-            start_time=record.start_time,
-            user_id=record.user_id,
-            program_id=record.program_id + rng.randrange(factor) * base_programs,
-            duration_seconds=record.duration_seconds,
-        )
-        for record in trace
-    ]
-    return Trace(records, catalog, n_users=trace.n_users)
-
-
-def _scale_catalog_numpy(trace: Trace, factor: int, rng, base_programs: int,
-                         catalog: Catalog) -> Trace:
-    """Columnar catalog scaling, bit-identical to the record path.
-
-    One ``randrange`` draw per record in record order (the scalar
-    sequence); redirecting programs can reorder ties under the
-    ``(start, user, program)`` sort key, so the stable lexsort over
-    record order reproduces ``sorted()`` exactly.
-    """
-    import numpy as np
-
-    starts, users, programs, durations = trace.columns()
+    starts, users, program_ids, durations = trace.columns()
     randrange = rng.randrange
-    draws = np.asarray([randrange(factor) for _ in range(len(starts))],
-                       dtype=np.int64)
-    new_programs = np.asarray(programs, dtype=np.int64) + draws * base_programs
-    start_col = np.asarray(starts, dtype=np.float64)
-    user_col = np.asarray(users, dtype=np.int64)
-    order = np.lexsort((new_programs, user_col, start_col))
-    return Trace.from_columns(
-        start_col[order].tolist(),
-        user_col[order].tolist(),
-        new_programs[order].tolist(),
-        np.asarray(durations, dtype=np.float64)[order].tolist(),
-        catalog,
-        trace.n_users,
-    )
+    remapped = [program_id + randrange(factor) * base_programs
+                for program_id in program_ids]
+    return _sorted_trace(starts, users, remapped, durations, catalog,
+                         trace.n_users)

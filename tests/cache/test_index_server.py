@@ -19,7 +19,6 @@ from repro.cache.segments import PlacementMap, cache_footprint_bytes, segment_by
 from repro.core.config import SimulationConfig
 from repro.core.system import CableVoDSystem
 from repro.errors import CacheError, CapacityError, PlacementError
-from repro.topology.hfc import Neighborhood
 from repro.trace.records import Catalog, Program
 from repro.trace.synthetic import PowerInfoModel
 from repro.trace.workload import Workload, cached_workload_trace
@@ -32,7 +31,6 @@ def build_server(strategy=None, n_users=3, segments_per_peer=10,
     catalog = Catalog([
         Program(i, length) for i, length in enumerate(program_lengths)
     ])
-    neighborhood = Neighborhood(0, tuple(range(n_users)))
     placement = PlacementMap([segments_per_peer] * n_users)
     strategy = strategy or LRUStrategy()
     initial = strategy.bind(
@@ -42,7 +40,7 @@ def build_server(strategy=None, n_users=3, segments_per_peer=10,
             footprint_of=lambda pid: cache_footprint_bytes(catalog[pid]),
         )
     )
-    server = IndexServer(neighborhood, strategy, placement, catalog,
+    server = IndexServer(0, range(n_users), strategy, placement, catalog,
                          **server_args)
     server.apply_initial_membership(initial)
     return server
@@ -149,10 +147,9 @@ class TestMembershipPlumbing:
 
     def test_missing_boxes_rejected(self):
         # A placement with fewer peers than the neighborhood has users.
-        neighborhood = Neighborhood(0, (0, 1))
         catalog = Catalog([Program(0, 600.0)])
         with pytest.raises(CacheError):
-            IndexServer(neighborhood, NullStrategy(), PlacementMap([33]),
+            IndexServer(0, (0, 1), NullStrategy(), PlacementMap([33]),
                         catalog)
 
     def test_stats_accumulate(self):

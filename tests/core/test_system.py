@@ -19,7 +19,13 @@ from repro.baselines.no_cache import no_cache_peak_gbps
 from repro.errors import SimulationError
 from repro.live import AdmissionController
 from repro.trace.streaming import open_trace_stream
-from repro.trace.records import Catalog, Program, SessionRecord, Trace
+from repro.trace.records import (
+    Catalog,
+    Program,
+    SessionRecord,
+    Trace,
+    TraceChunk,
+)
 
 
 def config(**kwargs):
@@ -121,7 +127,39 @@ class TestDeterminism:
     def test_placement_shared_across_strategies(self, tiny_trace):
         lru = CableVoDSystem(tiny_trace, config(strategy=LRUSpec()))
         lfu = CableVoDSystem(tiny_trace, config(strategy=LFUSpec()))
-        assert [n.user_ids for n in lru.plant] == [n.user_ids for n in lfu.plant]
+        assert lru.plant.order == lfu.plant.order
+
+
+class TestNeighborhoodSelection:
+    """``neighborhood_ids`` picks a contiguous run of the plant."""
+
+    @pytest.mark.parametrize("engine", ["bucket", "columnar"])
+    def test_row_outside_the_selected_neighborhoods_raises(
+            self, tiny_trace, engine):
+        system = CableVoDSystem(None, config(strategy=LFUSpec()),
+                                engine=engine, neighborhood_ids=[1, 2],
+                                catalog=tiny_trace.catalog,
+                                n_users=tiny_trace.n_users)
+        starts, users, programs, durations = tiny_trace.columns()
+        homes = [system.plant.rank[user] // 100 for user in users]
+        first_outside = homes.index(0)
+        with pytest.raises(SimulationError,
+                           match=r"user (\d+) .*neighborhoods 1\.\.2") as raised:
+            system.run([TraceChunk(0, 0, 0, starts, users, programs,
+                                   durations)])
+        user = int(raised.value.args[0].split()[1])
+        assert system.plant.rank[user] // 100 == 0
+        # The outside row reached no server: at most the rows before it
+        # started sessions (columnar checks a whole window up front).
+        started = sum(server.stats.sessions
+                      for server in system.index_servers)
+        assert started <= first_outside
+
+    @pytest.mark.parametrize("ids", [[], [0, 2], [2, 1], [1, 1], [-1, 0],
+                                     [2, 3]])
+    def test_ids_must_be_a_contiguous_run_in_range(self, tiny_trace, ids):
+        with pytest.raises(SimulationError, match="contiguous run"):
+            CableVoDSystem(tiny_trace, config(), neighborhood_ids=ids)
 
 
 class TestSegmentProcess:

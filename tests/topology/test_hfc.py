@@ -1,80 +1,65 @@
-"""HFC topology objects: plant construction and invariants."""
+"""The cable plant as a permutation: ``order``, its inverse ``rank``, cuts.
 
-import pytest
+Determinism per neighborhood size and seed is pinned beside the shuffle
+itself, in ``tests/topology/test_placement.py``.
+"""
 
-from repro import units
-from repro.errors import TopologyError
-from repro.topology.hfc import CablePlant, Headend, Neighborhood
+from array import array
 
+from hypothesis import given, settings, strategies as st
 
-def neighborhood(nid=0, users=(0, 1, 2)):
-    return Neighborhood(neighborhood_id=nid, user_ids=tuple(users))
+from repro.topology.hfc import CablePlant
+from repro.topology.placement import place_users
 
-
-class TestNeighborhood:
-    def test_size(self):
-        assert neighborhood(users=range(10)).size == 10
-
-    def test_rejects_empty(self):
-        with pytest.raises(TopologyError):
-            Neighborhood(neighborhood_id=0, user_ids=())
-
-    def test_rejects_negative_id(self):
-        with pytest.raises(TopologyError):
-            Neighborhood(neighborhood_id=-1, user_ids=(0,))
-
-    def test_default_capacities_from_paper(self):
-        n = neighborhood()
-        assert n.coax_downstream_bps == units.COAX_DOWNSTREAM_CAPACITY_BPS
-        assert n.coax_vod_bps == pytest.approx(1.6e9)
-        assert n.coax_upstream_bps == pytest.approx(215e6)
-
-
-class TestHeadend:
-    def test_pairs_one_to_one(self):
-        n = neighborhood(nid=3)
-        assert Headend(3, n).neighborhood is n
-
-    def test_rejects_mismatched_ids(self):
-        with pytest.raises(TopologyError):
-            Headend(1, neighborhood(nid=2))
+PLANTS = st.tuples(st.integers(min_value=1, max_value=400),
+                   st.integers(min_value=1, max_value=100))
 
 
 class TestCablePlant:
     def test_basic_construction(self):
-        plant = CablePlant([
-            neighborhood(0, (0, 1)),
-            neighborhood(1, (2, 3, 4)),
-        ])
+        plant = CablePlant(array("q", [2, 0, 3, 1]), 3)
+        assert list(plant.rank) == [1, 3, 0, 2]
+        assert plant.neighborhood_size == 3
         assert len(plant) == 2
-        assert plant.n_users == 5
-        assert plant.mean_neighborhood_size() == 2.5
-
-    def test_headends_mirror_neighborhoods(self):
-        plant = CablePlant([neighborhood(0, (0,)), neighborhood(1, (1,))])
-        assert [h.headend_id for h in plant.headends] == [0, 1]
+        assert list(plant.members(0)) == [2, 0, 3]
+        assert list(plant.members(1)) == [1]
 
     def test_neighborhood_of(self):
-        plant = CablePlant([neighborhood(0, (5, 6)), neighborhood(1, (7,))])
-        assert plant.neighborhood_of(7).neighborhood_id == 1
+        # Neighborhood = rank // size, peer index = rank % size.
+        plant = CablePlant(array("q", [5, 6, 7, 0, 1, 2, 3, 4]), 3)
+        assert [divmod(plant.rank[user], 3) for user in (7, 0, 4)] == [
+            (0, 2), (1, 0), (2, 1)]
 
-    def test_neighborhood_of_unknown_user(self):
-        plant = CablePlant([neighborhood(0, (0,))])
-        with pytest.raises(TopologyError):
-            plant.neighborhood_of(99)
 
-    def test_rejects_duplicate_user(self):
-        with pytest.raises(TopologyError):
-            CablePlant([neighborhood(0, (1, 2)), neighborhood(1, (2, 3))])
+class TestPermutation:
+    @given(PLANTS)
+    @settings(max_examples=30, deadline=None)
+    def test_order_is_a_permutation(self, plant_args):
+        n_users, size = plant_args
+        plant = place_users(n_users, size)
+        assert isinstance(plant.order, array)
+        assert sorted(plant.order) == list(range(n_users))
+        assert plant.neighborhood_size == size
 
-    def test_rejects_sparse_ids(self):
-        with pytest.raises(TopologyError):
-            CablePlant([neighborhood(1, (0,))])
+    @given(PLANTS)
+    @settings(max_examples=30, deadline=None)
+    def test_rank_inverts_order(self, plant_args):
+        plant = place_users(*plant_args)
+        assert len(plant.rank) == len(plant.order)
+        assert all(plant.order[plant.rank[user]] == user
+                   for user in range(len(plant.order)))
 
-    def test_rejects_empty_plant(self):
-        with pytest.raises(TopologyError):
-            CablePlant([])
-
-    def test_iteration_order(self):
-        plant = CablePlant([neighborhood(0, (0,)), neighborhood(1, (1,))])
-        assert [n.neighborhood_id for n in plant] == [0, 1]
+    @given(PLANTS)
+    @settings(max_examples=30, deadline=None)
+    def test_slices_are_the_neighborhoods(self, plant_args):
+        n_users, size = plant_args
+        plant = place_users(n_users, size)
+        full, remainder = divmod(n_users, size)
+        members = [plant.members(nid) for nid in range(len(plant))]
+        assert [len(users) for users in members] == (
+            [size] * full + ([remainder] if remainder else []))
+        assert [user for users in members for user in users] == list(
+            plant.order)
+        for nid, users in enumerate(members):
+            for peer, user in enumerate(users):
+                assert divmod(plant.rank[user], size) == (nid, peer)

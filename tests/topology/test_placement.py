@@ -10,8 +10,7 @@ from repro.topology.placement import place_users
 class TestPartitioning:
     def test_every_user_placed_exactly_once(self):
         plant = place_users(1000, 150)
-        seen = [u for n in plant for u in n.user_ids]
-        assert sorted(seen) == list(range(1000))
+        assert sorted(plant.order) == list(range(1000))
 
     def test_neighborhood_count(self):
         assert len(place_users(1000, 250)) == 4
@@ -19,13 +18,13 @@ class TestPartitioning:
 
     def test_sizes_equal_except_remainder(self):
         plant = place_users(1050, 250)
-        sizes = [n.size for n in plant]
+        sizes = [len(plant.members(nid)) for nid in range(len(plant))]
         assert sizes == [250, 250, 250, 250, 50]
 
     def test_single_neighborhood_when_size_exceeds_population(self):
         plant = place_users(30, 100)
         assert len(plant) == 1
-        assert plant.neighborhoods[0].size == 30
+        assert len(plant.members(0)) == 30
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(TopologyError):
@@ -40,28 +39,27 @@ class TestDeterminism:
         # same neighborhood-size parameter.
         a = place_users(500, 100)
         b = place_users(500, 100)
-        assert [n.user_ids for n in a] == [n.user_ids for n in b]
+        assert a.order == b.order
 
     def test_different_sizes_differ(self):
         a = place_users(500, 100)
         b = place_users(500, 125)
-        assert [n.user_ids for n in a] != [n.user_ids for n in b]
+        assert a.order != b.order
 
     def test_shuffle_actually_randomizes(self):
         plant = place_users(500, 100)
-        first = plant.neighborhoods[0].user_ids
-        assert first != tuple(range(100))
+        assert list(plant.members(0)) != list(range(100))
 
     def test_custom_seed_changes_placement(self):
         a = place_users(500, 100)
         b = place_users(500, 100, placement_seed=999)
-        assert [n.user_ids for n in a] != [n.user_ids for n in b]
+        assert a.order != b.order
 
     @given(st.integers(min_value=1, max_value=400),
            st.integers(min_value=1, max_value=100))
     @settings(max_examples=30, deadline=None)
     def test_property_partition_is_exact(self, n_users, size):
         plant = place_users(n_users, size)
-        seen = sorted(u for n in plant for u in n.user_ids)
-        assert seen == list(range(n_users))
-        assert all(n.size <= size for n in plant)
+        assert sorted(plant.order) == list(range(n_users))
+        assert all(len(plant.members(nid)) <= size
+                   for nid in range(len(plant)))

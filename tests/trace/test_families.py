@@ -25,10 +25,10 @@ from repro.trace.families.stress import (
     CatalogChurnModel,
     FlashCrowdModel,
     ZipfBetaModel,
-    _sorted_trace,
 )
 from repro.trace.families.tracefile import TraceFileModel
 from repro.trace.io import dump_trace
+from repro.trace.records import _sorted_trace
 from repro.trace.synthetic import PowerInfoModel, cached_trace
 
 SMALL_BASE = PowerInfoModel(n_users=80, n_programs=16, days=2.0, seed=5)
